@@ -1,8 +1,9 @@
 //! CI benchmark smoke run: solves the TPC-C and web-shop instances,
 //! measures annealing-move throughput (incremental vs full
-//! re-evaluation), replays both workloads through the columnar engine at
-//! production rate (txns/sec and true-byte model error), records wall
-//! time and objective, and writes a `BENCH_<sha>.json` artifact so the
+//! re-evaluation), replays both workloads through the row-store replay
+//! engine (fraction rows stored contiguously) at production rate
+//! (txns/sec and true-byte model error), records wall time and
+//! objective, and writes a `BENCH_<sha>.json` artifact so the
 //! performance trajectory is tracked on every push.
 //!
 //! ```text
@@ -357,8 +358,9 @@ fn sampler_overhead(instance: &Instance, sites: usize) -> serde_json::Value {
 }
 
 /// Trace-replay benchmark: solves the instance, expands the workload
-/// into a seeded execution stream, replays it through the columnar
-/// engine at production rate and reports txns/sec plus the true-byte
+/// into a seeded execution stream, replays it through the row-store
+/// replay engine (one contiguous fraction row per access) at production
+/// rate and reports txns/sec plus the true-byte
 /// model error against [`predicted_txn_bytes`]. Both numbers land in the
 /// artifact; `--check` gates a >[`THROUGHPUT_TOLERANCE`] throughput drop
 /// against the baseline and a |model error| above [`MODEL_ERROR_BOUND`]

@@ -50,5 +50,5 @@ pub use replay::{
     PredictedBytes, ReplayConfig, ReplayDeployment, ReplayModelError, ReplayReport, ReplayStream,
     RowSkew, SiteBytes,
 };
-pub use storage::{ColumnFragment, Fragment, Site};
+pub use storage::{Fragment, RowSegment, Site};
 pub use trace::Trace;

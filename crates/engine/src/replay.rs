@@ -6,12 +6,15 @@
 //! harder question: how far is the model from what an executor moving
 //! **physical** bytes at full speed actually does?
 //!
-//! A [`ReplayDeployment`] materializes the partitioning as columnar
-//! storage ([`ColumnFragment`]) split into a fixed number of contiguous
-//! *row-range shards*. A [`ReplayStream`] expands an instance (or a
-//! recorded [`Trace`]) into a seeded, deterministic stream of row-level
-//! touches. The driver replays the stream with `std::thread::scope`
-//! workers, each owning a contiguous chunk of shards outright:
+//! A [`ReplayDeployment`] materializes the partitioning as row-store
+//! segments ([`RowSegment`]: each fraction row stored contiguously, the
+//! paper's row-store access quantum) split into a fixed number of
+//! contiguous *row-range shards*. A [`ReplayStream`] expands an instance
+//! (or a recorded [`Trace`]) into a seeded, deterministic stream of
+//! row-level touches. The driver replays the stream with
+//! `std::thread::scope` workers, each owning a contiguous chunk of shards
+//! outright (chunk sizes differ by at most one, so `threads` workers
+//! really run):
 //!
 //! * every worker walks the **whole** stream and executes only the
 //!   touches whose row falls in its shards — row ownership, no locks;
@@ -28,11 +31,12 @@
 //! depend on the solver crates) yielding a [`ReplayModelError`]: the
 //! relative gap between predicted and true bytes, which quantifies the
 //! model's quantization error (average widths and fractional row counts
-//! vs. physical rounded-up columns and integer rows).
+//! vs. physical rounded-up attribute widths and integer rows).
 
 use crate::faults::{FaultInjector, FP_REPLAY_PASS};
-use crate::storage::ColumnFragment;
+use crate::storage::RowSegment;
 use crate::trace::Trace;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 use vpart_model::{AttrId, Instance, Partitioning, TxnId};
 use vpart_obs::{HealthMonitor, Obs};
@@ -476,11 +480,11 @@ impl ShardMeter {
     }
 }
 
-/// One site's storage inside one shard: columnar fragments per table plus
-/// a preallocated row-assembly buffer reused by every read.
+/// One site's storage inside one shard: row segments per table plus a
+/// preallocated row buffer reused by every read.
 #[derive(Debug, Clone)]
 struct ShardSite {
-    fragments: Vec<Option<ColumnFragment>>,
+    fragments: Vec<Option<RowSegment>>,
     buf: Vec<u8>,
 }
 
@@ -522,7 +526,7 @@ struct TxnPlan {
     queries: Vec<QueryPlan>,
 }
 
-/// A partitioning deployed as sharded columnar storage for replay.
+/// A partitioning deployed as sharded row-store segments for replay.
 #[derive(Debug, Clone)]
 pub struct ReplayDeployment<'a> {
     instance: &'a Instance,
@@ -536,7 +540,7 @@ pub struct ReplayDeployment<'a> {
 }
 
 impl<'a> ReplayDeployment<'a> {
-    /// Validates `partitioning` and materializes columnar storage:
+    /// Validates `partitioning` and materializes row-store segments:
     /// `rows_per_table` rows of every table, vertically fractioned per
     /// site, split into `shards` contiguous row-range shards.
     pub fn new(
@@ -573,7 +577,7 @@ impl<'a> ReplayDeployment<'a> {
                     if attrs.is_empty() || rows == 0 {
                         fragments.push(None);
                     } else {
-                        let frag = ColumnFragment::new(table, attrs, base, rows);
+                        let frag = RowSegment::new(table, attrs, base, rows);
                         buf_len = buf_len.max(frag.row_width());
                         fragments.push(Some(frag));
                     }
@@ -692,7 +696,7 @@ impl<'a> ReplayDeployment<'a> {
             .iter()
             .flat_map(|sh| &sh.sites)
             .flat_map(|s| s.fragments.iter().flatten())
-            .map(ColumnFragment::payload_bytes)
+            .map(RowSegment::payload_bytes)
             .sum()
     }
 
@@ -872,14 +876,15 @@ impl<'a> ReplayDeployment<'a> {
     fn run_pass(&mut self, stream: &ReplayStream, threads: usize, metered: bool, skew: SkewMap) {
         let plans = &self.plans;
         let rows_per_shard = self.rows_per_shard;
-        let n_shards = self.shards.len();
-        let chunk = n_shards.div_ceil(threads);
+        let chunks = shard_chunks(self.shards.len(), threads);
         let seed = stream.seed;
         std::thread::scope(|scope| {
-            for (ci, shard_chunk) in self.shards.chunks_mut(chunk).enumerate() {
-                let first_shard = ci * chunk;
+            let mut rest = self.shards.as_mut_slice();
+            for owned in chunks {
+                let (shard_chunk, tail) = std::mem::take(&mut rest).split_at_mut(owned.len());
+                rest = tail;
                 scope.spawn(move || {
-                    let owned = first_shard..first_shard + shard_chunk.len();
+                    let first_shard = owned.start;
                     for (exec_idx, txn) in stream.executions.iter().enumerate() {
                         let plan = &plans[txn.index()];
                         let exec_key = mix(seed ^ (exec_idx as u64).wrapping_mul(0x9E37_79B9));
@@ -912,6 +917,22 @@ impl<'a> ReplayDeployment<'a> {
     }
 }
 
+/// Splits `n_shards` shards into exactly `threads` (clamped to
+/// `[1, n_shards]`) contiguous, non-empty ranges whose sizes differ by at
+/// most one, in shard order — so every requested worker gets shards.
+fn shard_chunks(n_shards: usize, threads: usize) -> Vec<Range<usize>> {
+    let threads = threads.clamp(1, n_shards.max(1));
+    let (base, extra) = (n_shards / threads, n_shards % threads);
+    let mut start = 0;
+    (0..threads)
+        .map(|i| {
+            let len = base + usize::from(i < extra);
+            start += len;
+            start - len..start
+        })
+        .collect()
+}
+
 /// Writes one physical row of `tp`'s table on every replica site of the
 /// owning shard and meters physical bytes plus replication transfer.
 #[inline]
@@ -934,7 +955,7 @@ fn write_touch(shard: &mut StoreShard, tp: &TablePlan, row: usize, tag: u8, mete
 }
 
 /// Reads one physical row of `tp`'s table at the home site of the owning
-/// shard, assembling it into the site's preallocated buffer.
+/// shard, copying it into the site's preallocated buffer.
 #[inline]
 fn read_touch(shard: &mut StoreShard, plan: &TxnPlan, tp: &TablePlan, row: usize, metered: bool) {
     let StoreShard { sites, meter } = shard;
@@ -1138,6 +1159,29 @@ mod tests {
         let dep = ReplayDeployment::new(&ins, &part, 4, 64).unwrap();
         assert_eq!(dep.n_shards(), 4);
         assert!(dep.stored_bytes() > 0);
+    }
+
+    /// Every requested worker gets a non-empty contiguous shard range:
+    /// 31 threads over 32 shards really are 31 workers, not 16.
+    #[test]
+    fn shard_chunks_split_into_exactly_threads_ranges() {
+        for threads in [1usize, 2, 3, 12, 31, 32] {
+            let chunks = shard_chunks(32, threads);
+            assert_eq!(chunks.len(), threads, "{threads} threads");
+            let mut next = 0;
+            for c in &chunks {
+                assert_eq!(c.start, next, "{threads} threads: gap or overlap");
+                assert!(!c.is_empty(), "{threads} threads: empty chunk");
+                next = c.end;
+            }
+            assert_eq!(next, 32, "{threads} threads: shards left uncovered");
+            let sizes = chunks.iter().map(ExactSizeIterator::len);
+            let (lo, hi) = (sizes.clone().min().unwrap(), sizes.max().unwrap());
+            assert!(hi - lo <= 1, "{threads} threads: sizes {lo}..={hi}");
+        }
+        // Thread counts clamp to the shard count.
+        assert_eq!(shard_chunks(32, 0).len(), 1);
+        assert_eq!(shard_chunks(32, 40).len(), 32);
     }
 
     #[test]

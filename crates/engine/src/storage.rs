@@ -6,12 +6,13 @@
 //! fraction rows). Row payloads are materialized deterministically so the
 //! executor really moves bytes instead of just counting them.
 //!
-//! [`ColumnFragment`] is the replay harness's storage: the same vertical
-//! fraction, but laid out **columnarly** (one contiguous byte vector per
-//! attribute, physical — i.e. rounded-up — widths) and covering only a
-//! contiguous *row segment* of the table, so disjoint segments can be
-//! owned mutably by different replay workers. Reads assemble a fraction
-//! row into a caller-provided buffer; all meters are integer bytes.
+//! [`RowSegment`] is the replay harness's storage: the same vertical
+//! fraction, stored row-contiguously at physical (rounded-up) attribute
+//! widths — the paper's row-store access quantum, one fraction row per
+//! access — and covering only a contiguous *row segment* of the table, so
+//! disjoint segments can be owned mutably by different replay workers.
+//! Reads copy a fraction row into a caller-provided buffer; all meters
+//! are integer bytes.
 
 use vpart_model::{AttrId, SiteId, TableId};
 
@@ -87,16 +88,19 @@ impl Fragment {
     }
 }
 
-/// One columnar vertical table fraction covering a contiguous row segment.
+/// One vertical table fraction covering a contiguous row segment.
 ///
 /// Unlike [`Fragment`] (fractional average widths, whole-table rows), a
-/// `ColumnFragment` stores each attribute in its own contiguous column at
-/// its *physical* width (`ceil(w_a).max(1)` bytes) and holds only rows
-/// `base_row .. base_row + rows` of the table. The replay driver builds
-/// one per `(shard, site, table)` so each worker owns its shard's storage
-/// outright — no locks, no atomics, byte meters in exact `u64`.
+/// `RowSegment` stores each attribute at its *physical* width
+/// (`ceil(w_a).max(1)` bytes) and holds only rows
+/// `base_row .. base_row + rows` of the table. Rows are contiguous —
+/// `rows × row_width` bytes, attributes in global id order inside a row —
+/// so one access moves one fraction row, the paper's row-store access
+/// quantum. The replay driver builds one per `(shard, site, table)` so
+/// each worker owns its shard's storage outright — no locks, no atomics,
+/// byte meters in exact `u64`.
 #[derive(Debug, Clone)]
-pub struct ColumnFragment {
+pub struct RowSegment {
     /// The table this fraction belongs to.
     pub table: TableId,
     /// The attributes stored here, in global id order.
@@ -107,53 +111,59 @@ pub struct ColumnFragment {
     pub rows: usize,
     /// Physical per-attribute widths in bytes (`ceil(w_a).max(1)`).
     widths: Vec<usize>,
-    /// One contiguous column per attribute (`rows × widths[i]` bytes).
-    columns: Vec<Vec<u8>>,
+    /// Row-contiguous payload (`rows × row_width` bytes).
+    data: Vec<u8>,
     row_width: usize,
 }
 
-impl ColumnFragment {
+impl RowSegment {
     /// Materializes the segment with a deterministic, row-global fill:
-    /// byte `j` of table row `r` in attribute `a`'s column depends only on
-    /// `(table, a, r, j)`, never on the segment boundaries — so checksums
-    /// are invariant under re-sharding.
+    /// byte `j` of attribute `a` (physical width `pw`) in table row `r` is
+    /// the low byte of `(r * pw + j) * 2654435761 + (table ^ (a << 8))`
+    /// (wrapping `u32`). It depends only on `(table, a, r, j)`, never on
+    /// the segment boundaries — so checksums are invariant under
+    /// re-sharding.
     pub fn new(table: TableId, attrs: Vec<(AttrId, f64)>, base_row: usize, rows: usize) -> Self {
-        let mut ids = Vec::with_capacity(attrs.len());
-        let mut widths = Vec::with_capacity(attrs.len());
-        let mut columns = Vec::with_capacity(attrs.len());
-        let mut row_width = 0usize;
-        for (a, w) in attrs {
-            let pw = (w.ceil() as usize).max(1);
-            let mut col = vec![0u8; rows * pw];
-            fill_column(&mut col, table, a, base_row, pw);
-            ids.push(a);
-            widths.push(pw);
-            columns.push(col);
-            row_width += pw;
-        }
-        Self {
+        let (ids, widths): (Vec<AttrId>, Vec<usize>) = attrs
+            .into_iter()
+            .map(|(a, w)| (a, (w.ceil() as usize).max(1)))
+            .unzip();
+        let row_width = widths.iter().sum();
+        let mut seg = Self {
             table,
             attrs: ids,
             base_row,
             rows,
             widths,
-            columns,
+            data: vec![0u8; rows * row_width],
             row_width,
-        }
+        };
+        seg.refill();
+        seg
     }
 
     /// Restores the deterministic initial fill — the replay harness's
     /// crash recovery: a pass discarded by an injected fault rolls its
     /// partial writes back to the durable (initial) payload.
     pub fn refill(&mut self) {
-        let (table, base_row) = (self.table, self.base_row);
-        for ((&a, &pw), col) in self
-            .attrs
-            .iter()
-            .zip(&self.widths)
-            .zip(self.columns.iter_mut())
-        {
-            fill_column(col, table, a, base_row, pw);
+        // Running offsets keep division out of the per-byte loop: this
+        // fill dominates deployment set-up. (`max(1)`: an attribute-less
+        // segment holds no bytes, and a zero chunk size panics.)
+        let rw = self.row_width.max(1);
+        for (i, row) in self.data.chunks_exact_mut(rw).enumerate() {
+            let r = self.base_row + i;
+            let mut at = 0usize;
+            for (&a, &pw) in self.attrs.iter().zip(&self.widths) {
+                let salt = self.table.0 ^ (a.0 << 8);
+                let first = (r * pw) as u32;
+                for (j, b) in (0u32..).zip(&mut row[at..at + pw]) {
+                    *b = first
+                        .wrapping_add(j)
+                        .wrapping_mul(2654435761)
+                        .wrapping_add(salt) as u8;
+                }
+                at += pw;
+            }
         }
     }
 
@@ -170,51 +180,33 @@ impl ColumnFragment {
         }
     }
 
-    /// Assembles table row `row` (a *global* row index inside this
-    /// segment) into `buf`, gathering each attribute's bytes from its
-    /// column. Returns the physical bytes read. `buf` must be at least
-    /// [`row_width`](Self::row_width) long — replay preallocates it once
-    /// per site and reuses it for every read.
-    pub fn read_row_into(&self, row: usize, buf: &mut [u8]) -> usize {
+    /// Byte range of table row `row` (a *global* row index inside this
+    /// segment) in the payload.
+    fn row_range(&self, row: usize) -> std::ops::Range<usize> {
         debug_assert!(row >= self.base_row && row < self.base_row + self.rows);
-        let local = row - self.base_row;
-        let mut at = 0usize;
-        for (w, col) in self.widths.iter().zip(&self.columns) {
-            buf[at..at + w].copy_from_slice(&col[local * w..(local + 1) * w]);
-            at += w;
-        }
-        at
+        let at = (row - self.base_row) * self.row_width;
+        at..at + self.row_width
     }
 
-    /// Overwrites table row `row` of every column with `tag`; returns the
-    /// physical bytes written.
+    /// Copies table row `row` into `buf` and returns the physical bytes
+    /// read. `buf` must be at least [`row_width`](Self::row_width) long —
+    /// replay preallocates it once per site and reuses it for every read.
+    pub fn read_row_into(&self, row: usize, buf: &mut [u8]) -> usize {
+        buf[..self.row_width].copy_from_slice(&self.data[self.row_range(row)]);
+        self.row_width
+    }
+
+    /// Overwrites table row `row` with `tag`; returns the physical bytes
+    /// written.
     pub fn write_row(&mut self, row: usize, tag: u8) -> usize {
-        debug_assert!(row >= self.base_row && row < self.base_row + self.rows);
-        let local = row - self.base_row;
-        for (w, col) in self.widths.iter().zip(self.columns.iter_mut()) {
-            for b in &mut col[local * w..(local + 1) * w] {
-                *b = tag;
-            }
-        }
+        let range = self.row_range(row);
+        self.data[range].fill(tag);
         self.row_width
     }
 
     /// Physical payload size of this segment in bytes.
     pub fn payload_bytes(&self) -> usize {
-        self.columns.iter().map(Vec::len).sum()
-    }
-}
-
-/// Deterministic, row-global columnar fill: byte `j` of table row `r`
-/// depends only on `(table, a, r, j)` — see [`ColumnFragment::new`].
-fn fill_column(col: &mut [u8], table: TableId, a: AttrId, base_row: usize, pw: usize) {
-    for (i, b) in col.iter_mut().enumerate() {
-        let r = base_row + i / pw;
-        let j = i % pw;
-        *b = ((r * pw + j) as u32)
-            .wrapping_mul(2654435761)
-            .wrapping_add(table.0 ^ (a.0 << 8))
-            .to_le_bytes()[0];
+        self.data.len()
     }
 }
 
@@ -284,8 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn column_fragment_round_trip() {
-        let mut f = ColumnFragment::new(TableId(0), vec![(AttrId(0), 4.0), (AttrId(2), 2.5)], 0, 8);
+    fn row_segment_round_trip() {
+        let mut f = RowSegment::new(TableId(0), vec![(AttrId(0), 4.0), (AttrId(2), 2.5)], 0, 8);
         // Physical widths round up: 4 + 3 = 7 bytes per row.
         assert_eq!(f.row_width(), 7);
         assert_eq!(f.payload_bytes(), 8 * 7);
@@ -304,16 +296,48 @@ mod tests {
     /// The fill is row-global: the same table row carries the same bytes
     /// no matter which segment materializes it.
     #[test]
-    fn column_fragment_fill_is_segment_invariant() {
+    fn row_segment_fill_is_segment_invariant() {
         let attrs = vec![(AttrId(0), 4.0), (AttrId(1), 8.0)];
-        let whole = ColumnFragment::new(TableId(2), attrs.clone(), 0, 16);
-        let upper = ColumnFragment::new(TableId(2), attrs, 10, 6);
+        let whole = RowSegment::new(TableId(2), attrs.clone(), 0, 16);
+        let upper = RowSegment::new(TableId(2), attrs, 10, 6);
         let mut a = vec![0u8; whole.row_width()];
         let mut b = vec![0u8; upper.row_width()];
         for row in 10..16 {
             whole.read_row_into(row, &mut a);
             upper.read_row_into(row, &mut b);
             assert_eq!(a, b, "row {row} differs between segment layouts");
+        }
+    }
+
+    /// The fill is the documented `(table, a, r, j)` formula, attributes
+    /// laid out in order inside each row.
+    #[test]
+    fn row_segment_fill_matches_documented_formula() {
+        let expected = |table: u32, a: u32, r: usize, pw: usize, j: usize| {
+            ((r * pw + j) as u32)
+                .wrapping_mul(2654435761)
+                .wrapping_add(table ^ (a << 8))
+                .to_le_bytes()[0]
+        };
+        // Widths 4, 3 (2.5 rounded up), 1 (0.2 rounded up) bytes.
+        let attrs = vec![(AttrId(1), 4.0), (AttrId(3), 2.5), (AttrId(700), 0.2)];
+        let seg = RowSegment::new(TableId(5), attrs.clone(), 1000, 40);
+        let mut buf = vec![0u8; seg.row_width()];
+        for row in [1000, 1017, 1039] {
+            assert_eq!(seg.read_row_into(row, &mut buf), 8);
+            let mut at = 0;
+            for &(a, w) in &attrs {
+                let pw = (w.ceil() as usize).max(1);
+                for j in 0..pw {
+                    assert_eq!(
+                        buf[at + j],
+                        expected(5, a.0, row, pw, j),
+                        "table 5, attr {}, row {row}, byte {j}",
+                        a.0
+                    );
+                }
+                at += pw;
+            }
         }
     }
 

@@ -4,7 +4,9 @@
 
 use vpart_core::sa::{SaConfig, SaSolver};
 use vpart_core::{predicted_txn_bytes, CostConfig};
-use vpart_engine::{PredictedBytes, ReplayConfig, ReplayDeployment, ReplayStream};
+use vpart_engine::{
+    PredictedBytes, ReplayConfig, ReplayDeployment, ReplayStream, RowSkew, SiteBytes,
+};
 use vpart_instances::tpcc;
 use vpart_model::{Instance, Partitioning};
 
@@ -136,4 +138,44 @@ fn throughput_reporting_counts_all_passes() {
     assert_eq!(report.txns_replayed, report.passes * 50);
     assert!(report.throughput_txns_per_sec() > 0.0);
     assert!(report.elapsed >= std::time::Duration::from_millis(10) || report.passes == 1000);
+}
+
+/// Meters and data checksum pinned to constants recorded with the former
+/// column-per-attribute replay storage: the row-contiguous layout moves
+/// exactly the same bytes and fills them with exactly the same values.
+#[test]
+fn golden_meter_fingerprint_on_tpcc() {
+    let ins = tpcc();
+    let part = solved(&ins, 3, 1);
+    let stream = ReplayStream::weighted(&ins, 300, 42);
+    let per_site = vec![
+        SiteBytes {
+            bytes_read: 40900,
+            bytes_written: 147106,
+        },
+        SiteBytes {
+            bytes_read: 104160,
+            bytes_written: 91448,
+        },
+        SiteBytes {
+            bytes_read: 1042673,
+            bytes_written: 965799,
+        },
+    ];
+    for (skew, checksum) in [
+        (RowSkew::Uniform, 7565900560535932974u64),
+        (RowSkew::Zipf { theta: 0.9 }, 2189953521963056697),
+    ] {
+        let mut dep = ReplayDeployment::new(&ins, &part, 256, 32).expect("deploys");
+        let config = ReplayConfig {
+            skew,
+            ..ReplayConfig::deterministic(2)
+        };
+        let report = dep.replay(&stream, &config, None).expect("replays");
+        assert_eq!(
+            report.meter_fingerprint(),
+            (per_site.clone(), 82544, 9336, 13559, 300, checksum),
+            "{skew:?}"
+        );
+    }
 }

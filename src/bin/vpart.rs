@@ -102,13 +102,15 @@ fn usage() -> &'static str {
      temperature levels the dominated half is cut off.\n\
      `vpart replay` is the production-rate load harness: it deploys the\n\
      partitioning (from --partitioning — a solve-output or bare\n\
-     partitioning JSON — or a fresh seeded SA solve) as sharded columnar\n\
-     storage, replays a seeded stream of --txns weighted executions (or\n\
-     --rounds uniform rounds) with --threads workers until --duration\n\
-     elapses, and reports txns/sec plus the model error: true physical\n\
-     bytes vs the cost model's prediction. Byte meters are bit-identical\n\
-     across thread counts (fixed --shards row-range shards). The replayed\n\
-     stream also feeds the online tracker (tracker weight in the output).\n\
+     partitioning JSON — or a fresh seeded SA solve) as sharded row-store\n\
+     storage (each fraction row stored contiguously: the paper's\n\
+     row-store access quantum), replays a seeded stream of --txns\n\
+     weighted executions (or --rounds uniform rounds) with --threads\n\
+     workers until --duration elapses, and reports txns/sec plus the\n\
+     model error: true physical bytes vs the cost model's prediction.\n\
+     Byte meters are bit-identical across thread counts (fixed --shards\n\
+     row-range shards). The replayed stream also feeds the online\n\
+     tracker (tracker weight in the output).\n\
      --error-bound exits non-zero when |model error| exceeds the bound.\n\
      --skew picks the row-touch distribution inside each table\n\
      (uniform, zipf:<theta> with 0<theta<1, or hotspot:<frac> sending\n\
