@@ -8,13 +8,11 @@
 //!
 //! ```text
 //! cargo run --release -p vpart_bench --bin bench_smoke -- \
-//!     [--out <dir>] [--criterion <results.jsonl>] [--check <baseline.json>]
+//!     [--out <dir>] [--check <baseline.json>]
 //! ```
 //!
 //! The sha comes from `GITHUB_SHA` (trimmed to 12 hex digits), falling
-//! back to `local`. `--criterion` folds a `CRITERION_JSON` line file
-//! (see `vendor/criterion`) from a preceding `cargo bench` run into the
-//! artifact, so micro- and macro-benchmarks land in one place.
+//! back to `local`.
 //!
 //! `--check <baseline.json>` compares the fresh run against a previous
 //! artifact (matched by bench name) and exits non-zero when any solve
@@ -35,8 +33,7 @@ use vpart_core::{
     fast_objective6, predicted_txn_bytes, CostCoefficients, CostConfig, IncrementalCost,
 };
 use vpart_engine::{
-    Deployment, FaultInjector, MigrationJournal, PredictedBytes, ReplayConfig, ReplayDeployment,
-    ReplayStream,
+    Deployment, FaultInjector, MigrationJournal, ReplayConfig, ReplayDeployment, ReplayStream,
 };
 use vpart_model::{Instance, MigrationPlan, Partitioning, SiteId, TxnId};
 use vpart_obs::Obs;
@@ -372,14 +369,9 @@ fn replay_benchmark(name: &str, instance: &Instance, sites: usize, seed: u64) ->
         .expect("SA solves the replay target")
         .partitioning;
     let stream = ReplayStream::weighted(instance, 500, seed);
-    let per = predicted_txn_bytes(instance, &part, &cost);
-    let counts = stream.counts(instance.n_txns());
-    let mut predicted = PredictedBytes::default();
-    for (t, &c) in counts.iter().enumerate() {
-        predicted.read += c as f64 * per[t].read;
-        predicted.written += c as f64 * per[t].written;
-        predicted.transferred += c as f64 * per[t].transferred;
-    }
+    let predicted = stream.predicted(&predicted_txn_bytes(instance, &part, &cost), |b| {
+        (b.read, b.written, b.transferred)
+    });
     let mut dep = ReplayDeployment::new(instance, &part, 256, 32).expect("replay target deploys");
     let report = dep
         .replay(
@@ -881,15 +873,6 @@ fn main() -> ExitCode {
     let (obs_bench, metrics_snapshot) = obs_overhead(&tpcc, 3);
     let sampler_bench = sampler_overhead(&shop, 2);
 
-    let criterion: Vec<serde_json::Value> = flag("--criterion")
-        .and_then(|path| std::fs::read_to_string(path).ok())
-        .map(|text| {
-            text.lines()
-                .filter_map(|l| serde_json::from_str(l.trim()).ok())
-                .collect()
-        })
-        .unwrap_or_default();
-
     let artifact = serde_json::json!({
         "sha": sha,
         "benches": benches,
@@ -899,7 +882,6 @@ fn main() -> ExitCode {
         "obs_overhead": obs_bench,
         "obs_sampler_overhead": sampler_bench,
         "metrics": metrics_snapshot,
-        "criterion": criterion,
     });
     let path = format!("{out_dir}/BENCH_{sha}.json");
     std::fs::write(

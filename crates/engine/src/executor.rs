@@ -1,13 +1,14 @@
-//! Deployment and trace execution with byte-exact metering.
+//! Migration deployments: a partitioning materialized as row-store table
+//! fractions, changed in place by journaled, crash-safe migrations with
+//! byte-exact migration meters.
 
 use crate::faults::{FaultInjector, FP_MIGRATION_BATCH, FP_MIGRATION_ROLLBACK};
 use crate::journal::{JournalRecord, MigrationJournal};
-use crate::storage::{Fragment, Site};
-use crate::trace::Trace;
+use crate::storage::{table_fraction, RowSegment};
 use std::fmt;
 use vpart_model::{
-    AttrId, BatchedMigrationPlan, Instance, MigrationOp, MigrationPlan, Partitioning, SiteId,
-    TableId, TxnId,
+    BatchedMigrationPlan, Instance, MigrationOp, MigrationPlan, Partitioning, SiteId, TableId,
+    TxnId,
 };
 use vpart_obs::Obs;
 
@@ -16,16 +17,6 @@ use vpart_obs::Obs;
 pub enum EngineError {
     /// The partitioning failed validation against the instance.
     Model(vpart_model::ModelError),
-    /// A read query needed an attribute absent from its executing site —
-    /// the deployment would break single-sitedness.
-    NotSingleSited {
-        /// The transaction whose read broke.
-        txn: TxnId,
-        /// The missing attribute.
-        attr: AttrId,
-        /// The executing site.
-        site: SiteId,
-    },
     /// A migration plan does not start from this deployment's state (its
     /// `from` layout or row count differs).
     MigrationMismatch {
@@ -68,9 +59,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Model(e) => write!(f, "invalid deployment: {e}"),
-            Self::NotSingleSited { txn, attr, site } => {
-                write!(f, "read of {attr} by {txn} not satisfiable on site {site}")
-            }
             Self::MigrationMismatch { what } => {
                 write!(f, "migration plan does not match this deployment: {what}")
             }
@@ -98,76 +86,6 @@ impl std::error::Error for EngineError {}
 impl From<vpart_model::ModelError> for EngineError {
     fn from(e: vpart_model::ModelError) -> Self {
         Self::Model(e)
-    }
-}
-
-/// Per-site byte meters.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SiteMetrics {
-    /// Bytes read by storage access methods.
-    pub bytes_read: f64,
-    /// Bytes written by storage access methods.
-    pub bytes_written: f64,
-}
-
-impl SiteMetrics {
-    /// Total storage work (`read + write`) on this site — the engine-side
-    /// analogue of the cost model's per-site work (equation (5)).
-    pub fn work(&self) -> f64 {
-        self.bytes_read + self.bytes_written
-    }
-}
-
-/// Result of executing a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecutionReport {
-    /// Per-site meters.
-    pub per_site: Vec<SiteMetrics>,
-    /// Bytes shipped between sites by write replication.
-    pub transfer_bytes: f64,
-    /// Transaction executions processed.
-    pub executions: usize,
-    /// Executions that ran entirely on their home site (no replica
-    /// traffic) — these need no undo/redo log in an H-store-like system.
-    pub single_sited_executions: usize,
-    /// Individual queries executed.
-    pub queries_executed: usize,
-    /// Physical rows touched (reads + writes).
-    pub rows_touched: usize,
-    /// Checksum over read payloads (forces real data movement; also a
-    /// cheap reproducibility probe).
-    pub checksum: u64,
-}
-
-impl ExecutionReport {
-    /// Aggregated meters across sites.
-    pub fn totals(&self) -> SiteMetrics {
-        let mut t = SiteMetrics::default();
-        for s in &self.per_site {
-            t.bytes_read += s.bytes_read;
-            t.bytes_written += s.bytes_written;
-        }
-        t
-    }
-
-    /// The engine-side analogue of objective (4): `A_R + A_W + p·B` from
-    /// *measured* bytes.
-    pub fn measured_objective4(&self, p: f64) -> f64 {
-        let t = self.totals();
-        t.bytes_read + t.bytes_written + p * self.transfer_bytes
-    }
-
-    /// Measured per-site work.
-    pub fn site_work(&self) -> Vec<f64> {
-        self.per_site.iter().map(SiteMetrics::work).collect()
-    }
-
-    /// Fraction of executions that stayed single-sited.
-    pub fn single_sited_ratio(&self) -> f64 {
-        if self.executions == 0 {
-            return 1.0;
-        }
-        self.single_sited_executions as f64 / self.executions as f64
     }
 }
 
@@ -229,46 +147,39 @@ pub struct BatchedMigrationReport {
 pub struct Deployment<'a> {
     instance: &'a Instance,
     partitioning: Partitioning,
-    sites: Vec<Site>,
+    /// `fractions[site][table]`: the site's fraction of the table, `None`
+    /// when no attribute of the table lives there.
+    fractions: Vec<Vec<Option<RowSegment>>>,
     rows_per_fragment: usize,
     obs: Obs,
 }
 
 impl<'a> Deployment<'a> {
-    /// Validates `partitioning` and materializes one fragment per
-    /// `(site, table)` pair with `rows_per_fragment` rows each.
+    /// Validates `partitioning` and materializes one row-store fraction
+    /// per `(site, table)` pair holding attributes, with
+    /// `rows_per_fragment` rows each.
     pub fn new(
         instance: &'a Instance,
         partitioning: &Partitioning,
         rows_per_fragment: usize,
     ) -> Result<Self, EngineError> {
         partitioning.validate(instance, false)?;
-        let n_tables = instance.n_tables();
-        let mut sites = Vec::with_capacity(partitioning.n_sites());
-        for s in 0..partitioning.n_sites() {
-            let site_id = SiteId::from_index(s);
-            let mut site = Site::new(site_id, n_tables);
-            for t in 0..n_tables {
-                let table = vpart_model::TableId::from_index(t);
-                let attrs: Vec<AttrId> = instance
-                    .schema()
-                    .table_attrs(table)
-                    .map(AttrId::from_index)
-                    .filter(|&a| partitioning.has_attr(a, site_id))
-                    .collect();
-                if !attrs.is_empty() {
-                    let width: f64 = attrs.iter().map(|&a| instance.schema().width(a)).sum();
-                    site.fragments[t] =
-                        Some(Fragment::new(table, attrs, width, rows_per_fragment.max(1)));
-                }
-            }
-            sites.push(site);
-        }
+        let rows = rows_per_fragment.max(1);
+        let fractions = (0..partitioning.n_sites())
+            .map(|s| {
+                (0..instance.n_tables())
+                    .map(|t| {
+                        let (site, table) = (SiteId::from_index(s), TableId::from_index(t));
+                        table_fraction(instance, partitioning, site, table, 0, rows)
+                    })
+                    .collect()
+            })
+            .collect();
         Ok(Self {
             instance,
             partitioning: partitioning.clone(),
-            sites,
-            rows_per_fragment: rows_per_fragment.max(1),
+            fractions,
+            rows_per_fragment: rows,
             obs: Obs::disabled(),
         })
     }
@@ -293,20 +204,26 @@ impl<'a> Deployment<'a> {
         self.rows_per_fragment
     }
 
-    /// The sites (for storage inspection).
-    pub fn sites(&self) -> &[Site] {
-        &self.sites
+    /// Site `site`'s fraction of `table`, if it holds any of the table's
+    /// attributes (for storage inspection).
+    pub fn fraction(&self, site: SiteId, table: TableId) -> Option<&RowSegment> {
+        self.fractions[site.index()][table.index()].as_ref()
     }
 
     /// Total physically materialized bytes across sites.
     pub fn stored_bytes(&self) -> usize {
-        self.sites.iter().map(Site::stored_bytes).sum()
+        self.fractions
+            .iter()
+            .flatten()
+            .flatten()
+            .map(RowSegment::payload_bytes)
+            .sum()
     }
 
     /// Physically executes a [`MigrationPlan`]: rebuilds every changed
-    /// fragment (installs materialize column data at the destination site,
-    /// drops shrink the fraction in place), re-routes moved transactions,
-    /// and meters the bytes shipped between sites.
+    /// fraction (installs materialize column data at the destination site,
+    /// drops shrink the fraction), re-routes moved transactions, and
+    /// meters the bytes shipped between sites.
     ///
     /// The meter re-derives moved bytes from the engine's own schema
     /// widths and row counts — `(Σ w_installed) × rows` per change, the
@@ -378,7 +295,8 @@ impl<'a> Deployment<'a> {
             });
         }
 
-        // Execute: rebuild each changed fragment and meter shipped bytes.
+        // Execute: rebuild each changed fraction and meter shipped bytes.
+        self.partitioning = next;
         let schema = self.instance.schema();
         let mut per_change_bytes = Vec::with_capacity(plan.changes.len());
         let mut bytes_moved = 0.0f64;
@@ -391,33 +309,8 @@ impl<'a> Deployment<'a> {
             bytes_moved += moved;
             installs += ch.installed.len();
             drops += ch.dropped.len();
-
-            let site = &mut self.sites[ch.site.index()];
-            let mut attrs = site.fragments[ch.table.index()]
-                .take()
-                .map(|f| f.attrs)
-                .unwrap_or_default();
-            for &a in &ch.dropped {
-                if let Ok(i) = attrs.binary_search(&a) {
-                    attrs.remove(i);
-                }
-            }
-            for &a in &ch.installed {
-                if let Err(i) = attrs.binary_search(&a) {
-                    attrs.insert(i, a);
-                }
-            }
-            if !attrs.is_empty() {
-                let width: f64 = attrs.iter().map(|&a| schema.width(a)).sum();
-                site.fragments[ch.table.index()] = Some(Fragment::new(
-                    ch.table,
-                    attrs,
-                    width,
-                    self.rows_per_fragment,
-                ));
-            }
+            self.rebuild_fraction(ch.site, ch.table);
         }
-        self.partitioning = next;
 
         let txns_rerouted = plan.txn_moves.len();
         if self.obs.is_enabled() {
@@ -745,8 +638,8 @@ impl<'a> Deployment<'a> {
 
     /// Rebuilds a deployment at a crashed migration's durable boundary:
     /// the journal's committed batches (minus committed undos) applied to
-    /// `plan.from`. Fragment materialization is deterministic, so the
-    /// recovered fragment payloads are bit-identical to a deployment that
+    /// `plan.from`. Fraction materialization is deterministic, so the
+    /// recovered payloads are bit-identical to a deployment that
     /// reached the same boundary without crashing. Continue with
     /// [`migrate_batched`](Self::migrate_batched) (forward) or
     /// [`rollback_migration`](Self::rollback_migration).
@@ -780,7 +673,7 @@ impl<'a> Deployment<'a> {
     }
 
     /// A 64-bit fingerprint of the full deployment state: the logical
-    /// partitioning plus every fragment's attrs, row count and raw
+    /// partitioning plus every fraction's attrs, row count and raw
     /// physical payload. Two deployments with equal fingerprints hold
     /// bit-identical storage — the equality the fault-sweep harness
     /// asserts between crashed-and-recovered and uninterrupted runs.
@@ -796,8 +689,8 @@ impl<'a> Deployment<'a> {
         for t in (0..self.instance.n_txns()).map(TxnId::from_index) {
             put(&mut h, self.partitioning.site_of(t).index() as u64);
         }
-        for site in &self.sites {
-            for frag in site.fragments.iter().flatten() {
+        for site in &self.fractions {
+            for frag in site.iter().flatten() {
                 put(&mut h, frag.table.index() as u64);
                 put(&mut h, frag.attrs.len() as u64);
                 for a in &frag.attrs {
@@ -823,11 +716,11 @@ impl<'a> Deployment<'a> {
                 let table = schema.table_of(attr);
                 if forward {
                     self.partitioning.add_replica(attr, site);
-                    self.rebuild_fragment(site, table);
+                    self.rebuild_fraction(site, table);
                     (schema.width(attr) * self.rows_per_fragment as f64, 1, 0, 0)
                 } else {
                     self.partitioning.remove_replica(attr, site);
-                    self.rebuild_fragment(site, table);
+                    self.rebuild_fraction(site, table);
                     (0.0, 0, 1, 0)
                 }
             }
@@ -835,11 +728,11 @@ impl<'a> Deployment<'a> {
                 let table = schema.table_of(attr);
                 if forward {
                     self.partitioning.remove_replica(attr, site);
-                    self.rebuild_fragment(site, table);
+                    self.rebuild_fraction(site, table);
                     (0.0, 0, 1, 0)
                 } else {
                     self.partitioning.add_replica(attr, site);
-                    self.rebuild_fragment(site, table);
+                    self.rebuild_fraction(site, table);
                     (schema.width(attr) * self.rows_per_fragment as f64, 1, 0, 0)
                 }
             }
@@ -851,22 +744,18 @@ impl<'a> Deployment<'a> {
         }
     }
 
-    /// Re-derives the `(site, table)` fragment from the current logical
-    /// partitioning. `Fragment::new` fills deterministically, so recovery
-    /// reaches bit-identical payloads however many times a batch replays.
-    fn rebuild_fragment(&mut self, site: SiteId, table: TableId) {
-        let schema = self.instance.schema();
-        let attrs: Vec<AttrId> = schema
-            .table_attrs(table)
-            .map(AttrId::from_index)
-            .filter(|&a| self.partitioning.has_attr(a, site))
-            .collect();
-        self.sites[site.index()].fragments[table.index()] = if attrs.is_empty() {
-            None
-        } else {
-            let width: f64 = attrs.iter().map(|&a| schema.width(a)).sum();
-            Some(Fragment::new(table, attrs, width, self.rows_per_fragment))
-        };
+    /// Re-derives the `(site, table)` fraction from the current logical
+    /// partitioning. The fill is deterministic, so recovery reaches
+    /// bit-identical payloads however many times a batch replays.
+    fn rebuild_fraction(&mut self, site: SiteId, table: TableId) {
+        self.fractions[site.index()][table.index()] = table_fraction(
+            self.instance,
+            &self.partitioning,
+            site,
+            table,
+            0,
+            self.rows_per_fragment,
+        );
     }
 
     /// Shared resume-path validation: the journal must belong to `plan`
@@ -937,56 +826,51 @@ impl<'a> Deployment<'a> {
     }
 
     /// `debug-invariants` self-check: after a migration, the physical
-    /// fragments must agree exactly with the logical partitioning —
+    /// fractions must agree exactly with the logical partitioning —
     /// every `(site, table)` fraction holds precisely the attributes
-    /// `y` places there, with the matching width and row count, and no
-    /// empty fragments linger. Compiles to nothing without the feature.
+    /// `y` places there, at their physical widths, over rows
+    /// `0..rows_per_fragment`, and no empty fractions linger. Compiles to
+    /// nothing without the feature.
     #[cfg(feature = "debug-invariants")]
     fn debug_check_storage_bookkeeping(&self) {
-        let schema = self.instance.schema();
-        for site in &self.sites {
-            for t in 0..self.instance.n_tables() {
-                let table = vpart_model::TableId::from_index(t);
-                let expected: Vec<AttrId> = schema
-                    .table_attrs(table)
-                    .map(AttrId::from_index)
-                    .filter(|&a| self.partitioning.has_attr(a, site.id))
-                    .collect();
-                match &site.fragments[t] {
-                    None => assert!(
+        for (s, site) in self.fractions.iter().enumerate() {
+            let site_id = SiteId::from_index(s);
+            for (t, slot) in site.iter().enumerate() {
+                let table = TableId::from_index(t);
+                let expected = crate::storage::fraction_attrs(
+                    self.instance,
+                    &self.partitioning,
+                    site_id,
+                    table,
+                );
+                let Some(f) = slot else {
+                    assert!(
                         expected.is_empty(),
-                        "site {:?} table {:?}: partitioning places {:?} but no fragment exists",
-                        site.id,
-                        table,
-                        expected
-                    ),
-                    Some(f) => {
-                        assert!(
-                            !f.attrs.is_empty(),
-                            "site {:?} table {:?}: empty fragment not pruned",
-                            site.id,
-                            table
-                        );
-                        assert_eq!(
-                            f.attrs, expected,
-                            "site {:?} table {:?}: fragment attrs diverge from partitioning",
-                            site.id, table
-                        );
-                        let width: f64 = expected.iter().map(|&a| schema.width(a)).sum();
-                        assert!(
-                            (f.width - width).abs() <= 1e-9 * (1.0 + width),
-                            "site {:?} table {:?}: fragment width {} != schema width {width}",
-                            site.id,
-                            table,
-                            f.width
-                        );
-                        assert_eq!(
-                            f.rows, self.rows_per_fragment,
-                            "site {:?} table {:?}: fragment row count drifted",
-                            site.id, table
-                        );
-                    }
+                        "site {site_id:?} table {table:?}: partitioning places {expected:?} but no fraction exists"
+                    );
+                    continue;
+                };
+                assert!(
+                    !f.attrs.is_empty(),
+                    "site {site_id:?} table {table:?}: empty fraction not pruned"
+                );
+                let ids: Vec<_> = expected.iter().map(|&(a, _)| a).collect();
+                assert_eq!(
+                    f.attrs, ids,
+                    "site {site_id:?} table {table:?}: fraction attrs diverge from partitioning"
+                );
+                for &(a, w) in &expected {
+                    assert_eq!(
+                        f.attr_width(a),
+                        (w.ceil() as usize).max(1),
+                        "site {site_id:?} table {table:?}: physical width of {a:?} drifted"
+                    );
                 }
+                assert_eq!(
+                    (f.base_row, f.rows),
+                    (0, self.rows_per_fragment),
+                    "site {site_id:?} table {table:?}: fraction row range drifted"
+                );
             }
         }
     }
@@ -994,106 +878,13 @@ impl<'a> Deployment<'a> {
     #[cfg(not(feature = "debug-invariants"))]
     #[inline(always)]
     fn debug_check_storage_bookkeeping(&self) {}
-
-    /// Executes `trace`, metering bytes per the H-store-like semantics:
-    ///
-    /// * reads fetch the executing site's whole fraction rows of every
-    ///   touched table (row-store quantum),
-    /// * writes update the fraction rows of touched tables on **every**
-    ///   replica site (the paper's all-attribute write accounting),
-    /// * updated (α) attributes are shipped to every replica site other
-    ///   than the executing one.
-    pub fn execute(&mut self, trace: &Trace) -> Result<ExecutionReport, EngineError> {
-        let mut per_site = vec![SiteMetrics::default(); self.sites.len()];
-        let mut transfer = 0.0f64;
-        let mut single_sited = 0usize;
-        let mut queries = 0usize;
-        let mut rows_touched = 0usize;
-        let mut checksum = 0u64;
-
-        for (exec_idx, &txn) in trace.executions.iter().enumerate() {
-            let home = self.partitioning.site_of(txn);
-            let mut execution_transferred = false;
-            for &qid in &self.instance.workload().txn(txn).queries {
-                let q = self.instance.workload().query(qid);
-                queries += 1;
-                let reps = q.frequency.round().max(1.0) as usize;
-                for rep in 0..reps {
-                    let row_base = exec_idx.wrapping_mul(31).wrapping_add(rep * 7);
-                    if q.kind.is_write() {
-                        for &(table, n) in &q.table_rows {
-                            let n_phys = n.round().max(1.0) as usize;
-                            for (si, site) in self.sites.iter_mut().enumerate() {
-                                if let Some(frag) = site.fragment_mut(table) {
-                                    per_site[si].bytes_written += frag.width * n;
-                                    for r in 0..n_phys {
-                                        frag.write_row(row_base + r, (exec_idx % 251) as u8);
-                                        rows_touched += 1;
-                                    }
-                                }
-                            }
-                        }
-                        for &a in &q.attrs {
-                            let n = q.rows_for_table(self.instance.schema().table_of(a));
-                            let w = self.instance.schema().width(a);
-                            for s in self.partitioning.attr_sites(a) {
-                                if s != home {
-                                    transfer += w * n;
-                                    execution_transferred = true;
-                                }
-                            }
-                        }
-                    } else {
-                        // Single-sitedness: every read attribute must be
-                        // present on the home site.
-                        for &a in &q.attrs {
-                            if !self.partitioning.has_attr(a, home) {
-                                return Err(EngineError::NotSingleSited {
-                                    txn,
-                                    attr: a,
-                                    site: home,
-                                });
-                            }
-                        }
-                        for &(table, n) in &q.table_rows {
-                            let n_phys = n.round().max(1.0) as usize;
-                            let site = &self.sites[home.index()];
-                            if let Some(frag) = site.fragment(table) {
-                                per_site[home.index()].bytes_read += frag.width * n;
-                                for r in 0..n_phys {
-                                    let row = frag.read_row(row_base + r);
-                                    checksum = checksum
-                                        .wrapping_mul(1099511628211)
-                                        .wrapping_add(row[0] as u64);
-                                    rows_touched += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if !execution_transferred {
-                single_sited += 1;
-            }
-        }
-
-        Ok(ExecutionReport {
-            per_site,
-            transfer_bytes: transfer,
-            executions: trace.executions.len(),
-            single_sited_executions: single_sited,
-            queries_executed: queries,
-            rows_touched,
-            checksum,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vpart_model::workload::QuerySpec;
-    use vpart_model::{Schema, Workload};
+    use vpart_model::{AttrId, Schema, Workload};
 
     /// R{a(4), b(8)}: T0 reads a (1 row); T1 writes b (2 rows).
     fn instance() -> Instance {
@@ -1117,40 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn single_site_execution_meters_by_hand() {
-        let ins = instance();
-        let part = Partitioning::single_site(&ins, 1).unwrap();
-        let mut dep = Deployment::new(&ins, &part, 16).unwrap();
-        let report = dep.execute(&Trace::uniform(&ins, 1)).unwrap();
-        // Read: whole fraction (a+b = 12 bytes) × 1 row.
-        let t = report.totals();
-        assert_eq!(t.bytes_read, 12.0);
-        // Write: fraction width 12 × 2 rows on the single replica.
-        assert_eq!(t.bytes_written, 24.0);
-        assert_eq!(report.transfer_bytes, 0.0);
-        assert_eq!(report.single_sited_executions, 2);
-        assert_eq!(report.measured_objective4(8.0), 36.0);
-        assert!(report.rows_touched >= 3);
-    }
-
-    #[test]
-    fn replication_generates_transfer() {
-        let ins = instance();
-        let mut part = Partitioning::single_site(&ins, 2).unwrap();
-        part.add_replica(AttrId(1), SiteId(1)); // b replicated; T1 home = s0
-        let mut dep = Deployment::new(&ins, &part, 8).unwrap();
-        let report = dep.execute(&Trace::uniform(&ins, 1)).unwrap();
-        // Transfer: b (8 bytes) × 2 rows to the remote replica.
-        assert_eq!(report.transfer_bytes, 16.0);
-        // Writes hit both fragments: site0 fraction 12 × 2 + site1 (b only,
-        // width 8) × 2.
-        let t = report.totals();
-        assert_eq!(t.bytes_written, 24.0 + 16.0);
-        assert_eq!(report.single_sited_executions, 1);
-        assert!(report.single_sited_ratio() < 1.0);
-    }
-
-    #[test]
     fn rejects_non_single_sited_deployment() {
         let ins = instance();
         // T0 on site 1, but `a` only on site 0 → invalid at deploy time.
@@ -1162,21 +919,6 @@ mod tests {
             Deployment::new(&ins, &part, 4),
             Err(EngineError::Model(_))
         ));
-    }
-
-    #[test]
-    fn deterministic_checksum() {
-        let ins = instance();
-        let part = Partitioning::single_site(&ins, 1).unwrap();
-        let r1 = Deployment::new(&ins, &part, 16)
-            .unwrap()
-            .execute(&Trace::uniform(&ins, 2))
-            .unwrap();
-        let r2 = Deployment::new(&ins, &part, 16)
-            .unwrap()
-            .execute(&Trace::uniform(&ins, 2))
-            .unwrap();
-        assert_eq!(r1, r2);
     }
 
     #[test]
@@ -1203,8 +945,10 @@ mod tests {
         assert_eq!(report.txns_rerouted, 1);
         assert_eq!(dep.partitioning(), &to);
         assert!(dep.stored_bytes() > before, "the replica is materialized");
-        // The migrated deployment still executes.
-        dep.execute(&Trace::uniform(&ins, 1)).unwrap();
+        // Site 1 now stores b's 8-byte column over all 16 rows.
+        let replica = dep.fraction(SiteId(1), TableId(0)).unwrap();
+        assert_eq!(replica.attrs, [AttrId(1)]);
+        assert_eq!(replica.payload_bytes(), 8 * 16);
     }
 
     #[test]
@@ -1221,7 +965,7 @@ mod tests {
         assert_eq!(report.bytes_moved, 0.0);
         assert_eq!(report.drops, 1);
         assert!(dep.stored_bytes() < before, "the replica is deleted");
-        assert!(dep.sites()[1].fragment(vpart_model::TableId(0)).is_none());
+        assert!(dep.fraction(SiteId(1), TableId(0)).is_none());
     }
 
     /// With `debug-invariants` on, a chain of migrations keeps the

@@ -1,34 +1,40 @@
-//! An H-store-like row-store execution simulator.
+//! An H-store-like row-store engine.
 //!
 //! The paper *assumes* an H-store-like DBMS (single-threaded sites, rows
 //! stored contiguously, reads in quantums of whole rows, single-sited
 //! transactions running without undo/redo logs). No such system is
 //! available here, so this crate builds the substrate: a deterministic
-//! multi-site row-store that physically materializes table fractions
-//! according to a [`vpart_model::Partitioning`], executes workload traces,
-//! and meters exactly the three quantities the cost model estimates —
-//! bytes read and written by storage access methods per site, and bytes
-//! transferred between sites by write replication.
+//! multi-site row store whose one storage type, [`RowSegment`], holds a
+//! table fraction — the attributes a [`vpart_model::Partitioning`] places
+//! on a site — with each fraction row stored contiguously.
 //!
-//! Because the meter implements the *semantics* of the cost model (whole
-//! row-fraction reads at the executing site, all-attribute write
-//! accounting at every replica, α-attribute transfer to remote replicas),
-//! an execution of a trace whose per-transaction counts equal the query
-//! frequencies must measure **exactly** the model's predicted `A_R`,
-//! `A_W` and `B`. Integration tests assert this equality on TPC-C — the
-//! cost model and the engine are implemented independently, so agreement
-//! validates both.
+//! * [`ReplayDeployment`] shards the fractions by row range and replays a
+//!   seeded [`ReplayStream`] of transaction executions with parallel
+//!   workers, metering exactly the three quantities the cost model
+//!   estimates — bytes read and written by storage access methods per
+//!   site, and bytes transferred between sites by write replication — in
+//!   physical integer bytes. With integer widths, row counts and
+//!   frequencies, a uniform stream of `k` rounds measures exactly `k ×`
+//!   the model's predicted `A_R`, `A_W`, `B` and per-site work; the cost
+//!   model and the engine are implemented independently, so agreement
+//!   validates both.
+//! * [`Deployment`] holds each fraction whole and applies migration plans
+//!   as journaled, crash-safe batches ([`MigrationJournal`],
+//!   [`FaultInjector`]) with a byte meter equal to the plan's estimate.
 //!
 //! ```
-//! use vpart_engine::{Deployment, Trace};
+//! use vpart_engine::{ReplayConfig, ReplayDeployment, ReplayStream};
 //! use vpart_model::Partitioning;
 //! use vpart_instances::tpcc;
 //!
 //! let ins = tpcc();
 //! let part = Partitioning::single_site(&ins, 1).unwrap();
-//! let mut dep = Deployment::new(&ins, &part, 64).unwrap();
-//! let report = dep.execute(&Trace::uniform(&ins, 3)).unwrap();
-//! assert!(report.totals().bytes_read > 0.0);
+//! let mut dep = ReplayDeployment::new(&ins, &part, 64, 4).unwrap();
+//! let stream = ReplayStream::uniform(&ins, 3, 7);
+//! let report = dep
+//!     .replay(&stream, &ReplayConfig::deterministic(2), None)
+//!     .unwrap();
+//! assert!(report.totals().bytes_read > 0);
 //! ```
 
 pub mod executor;
@@ -36,11 +42,8 @@ pub mod faults;
 pub mod journal;
 pub mod replay;
 pub mod storage;
-pub mod trace;
 
-pub use executor::{
-    BatchedMigrationReport, Deployment, EngineError, ExecutionReport, MigrationReport, SiteMetrics,
-};
+pub use executor::{BatchedMigrationReport, Deployment, EngineError, MigrationReport};
 pub use faults::{
     FaultInjector, FaultTrigger, FP_MIGRATION_BATCH, FP_MIGRATION_ROLLBACK, FP_REPLAY_PASS,
     FP_WATCH_RESOLVE,
@@ -50,5 +53,4 @@ pub use replay::{
     PredictedBytes, ReplayConfig, ReplayDeployment, ReplayModelError, ReplayReport, ReplayStream,
     RowSkew, SiteBytes,
 };
-pub use storage::{Fragment, RowSegment, Site};
-pub use trace::Trace;
+pub use storage::RowSegment;

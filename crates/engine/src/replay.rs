@@ -1,20 +1,15 @@
-//! Production-rate trace replay with true-byte metering.
-//!
-//! [`Deployment::execute`](crate::Deployment::execute) meters *fractional*
-//! bytes (average widths × fractional row counts) and therefore agrees
-//! with the cost model exactly — by construction. This module answers the
-//! harder question: how far is the model from what an executor moving
-//! **physical** bytes at full speed actually does?
+//! Production-rate workload replay with true-byte metering: how far is
+//! the cost model from what an executor moving **physical** bytes at
+//! full speed actually does?
 //!
 //! A [`ReplayDeployment`] materializes the partitioning as row-store
 //! segments ([`RowSegment`]: each fraction row stored contiguously, the
 //! paper's row-store access quantum) split into a fixed number of
 //! contiguous *row-range shards*. A [`ReplayStream`] expands an instance
-//! (or a recorded [`Trace`]) into a seeded, deterministic stream of
-//! row-level touches. The driver replays the stream with
-//! `std::thread::scope` workers, each owning a contiguous chunk of shards
-//! outright (chunk sizes differ by at most one, so `threads` workers
-//! really run):
+//! into a seeded, deterministic stream of row-level touches. The driver
+//! replays the stream with `std::thread::scope` workers, each owning a
+//! contiguous chunk of shards outright (chunk sizes differ by at most
+//! one, so `threads` workers really run):
 //!
 //! * every worker walks the **whole** stream and executes only the
 //!   touches whose row falls in its shards — row ownership, no locks;
@@ -26,19 +21,22 @@
 //!   throughput clock.
 //!
 //! The measured bytes are compared against the cost model's prediction
-//! ([`PredictedBytes`], computed by the caller from
-//! `vpart_core::predicted_txn_bytes` — the engine deliberately does not
-//! depend on the solver crates) yielding a [`ReplayModelError`]: the
-//! relative gap between predicted and true bytes, which quantifies the
-//! model's quantization error (average widths and fractional row counts
-//! vs. physical rounded-up attribute widths and integer rows).
+//! ([`PredictedBytes`], summed by [`ReplayStream::predicted`] from the
+//! caller's per-transaction `vpart_core::predicted_txn_bytes` — the engine
+//! deliberately does not depend on the solver crates) yielding a
+//! [`ReplayModelError`]: the relative gap between predicted and true
+//! bytes. It is exactly zero when widths, row counts and frequencies are
+//! integers, and otherwise quantifies the model's quantization error
+//! (average widths and fractional row counts vs. physical rounded-up
+//! attribute widths and integer rows).
 
 use crate::faults::{FaultInjector, FP_REPLAY_PASS};
-use crate::storage::RowSegment;
-use crate::trace::Trace;
+use crate::storage::{table_fraction, RowSegment};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::ops::Range;
 use std::time::{Duration, Instant};
-use vpart_model::{AttrId, Instance, Partitioning, TxnId};
+use vpart_model::{Instance, Partitioning, SiteId, TableId, TxnId};
 use vpart_obs::{HealthMonitor, Obs};
 
 use crate::executor::EngineError;
@@ -70,9 +68,14 @@ pub struct ReplayStream {
 
 impl ReplayStream {
     /// Every transaction exactly `rounds` times, round-robin.
+    ///
+    /// Each execution runs every query of the transaction at its
+    /// frequency, so a `rounds`-round stream is `rounds ×` the workload
+    /// the cost model prices.
     pub fn uniform(instance: &Instance, rounds: usize, seed: u64) -> Self {
+        let n = instance.n_txns();
         Self {
-            executions: Trace::uniform(instance, rounds).executions,
+            executions: (0..rounds * n).map(|i| TxnId::from_index(i % n)).collect(),
             seed,
         }
     }
@@ -80,18 +83,32 @@ impl ReplayStream {
     /// `total` executions sampled proportionally to each transaction's
     /// total query frequency (seeded, deterministic).
     pub fn weighted(instance: &Instance, total: usize, seed: u64) -> Self {
-        Self {
-            executions: Trace::weighted(instance, total, seed).executions,
-            seed,
-        }
-    }
-
-    /// Replays a recorded trace.
-    pub fn from_trace(trace: &Trace, seed: u64) -> Self {
-        Self {
-            executions: trace.executions.clone(),
-            seed,
-        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let weights: Vec<f64> = (0..instance.n_txns())
+            .map(|t| {
+                instance
+                    .workload()
+                    .txn(TxnId::from_index(t))
+                    .queries
+                    .iter()
+                    .map(|&q| instance.workload().query(q).frequency)
+                    .sum()
+            })
+            .collect();
+        let sum: f64 = weights.iter().sum();
+        let executions = (0..total)
+            .map(|_| {
+                let mut pick = rng.gen::<f64>() * sum;
+                for (t, w) in weights.iter().enumerate() {
+                    pick -= w;
+                    if pick <= 0.0 {
+                        return TxnId::from_index(t);
+                    }
+                }
+                TxnId::from_index(instance.n_txns() - 1)
+            })
+            .collect();
+        Self { executions, seed }
     }
 
     /// Number of executions per pass.
@@ -111,6 +128,26 @@ impl ReplayStream {
             c[t.index()] += 1;
         }
         c
+    }
+
+    /// The model's prediction for one pass of this stream: each
+    /// transaction's predicted bytes per execution, weighted by its
+    /// execution count. `per_txn[t]` describes `TxnId(t)` and `bytes`
+    /// reads its `(read, written, transferred)` bytes — callers pass the
+    /// output of `vpart_core::predicted_txn_bytes`.
+    pub fn predicted<T>(
+        &self,
+        per_txn: &[T],
+        bytes: impl Fn(&T) -> (f64, f64, f64),
+    ) -> PredictedBytes {
+        let mut p = PredictedBytes::default();
+        for (t, &c) in self.counts(per_txn.len()).iter().enumerate() {
+            let (read, written, transferred) = bytes(&per_txn[t]);
+            p.read += c as f64 * read;
+            p.written += c as f64 * written;
+            p.transferred += c as f64 * transferred;
+        }
+        p
     }
 }
 
@@ -563,25 +600,19 @@ impl<'a> ReplayDeployment<'a> {
             let rows = rows_per_shard.min(rows_per_table.saturating_sub(base));
             let mut sites = Vec::with_capacity(n_sites);
             for si in 0..n_sites {
-                let site_id = vpart_model::SiteId::from_index(si);
-                let mut fragments = Vec::with_capacity(n_tables);
-                let mut buf_len = 0usize;
-                for t in 0..n_tables {
-                    let table = vpart_model::TableId::from_index(t);
-                    let attrs: Vec<(AttrId, f64)> = schema
-                        .table_attrs(table)
-                        .map(AttrId::from_index)
-                        .filter(|&a| partitioning.has_attr(a, site_id))
-                        .map(|a| (a, schema.width(a)))
-                        .collect();
-                    if attrs.is_empty() || rows == 0 {
-                        fragments.push(None);
-                    } else {
-                        let frag = RowSegment::new(table, attrs, base, rows);
-                        buf_len = buf_len.max(frag.row_width());
-                        fragments.push(Some(frag));
-                    }
-                }
+                let site = SiteId::from_index(si);
+                let fragments: Vec<Option<RowSegment>> = (0..n_tables)
+                    .map(|t| {
+                        let table = TableId::from_index(t);
+                        table_fraction(instance, partitioning, site, table, base, rows)
+                    })
+                    .collect();
+                let buf_len = fragments
+                    .iter()
+                    .flatten()
+                    .map(RowSegment::row_width)
+                    .max()
+                    .unwrap_or(0);
                 sites.push(ShardSite {
                     fragments,
                     buf: vec![0u8; buf_len],
@@ -977,7 +1008,7 @@ fn read_touch(shard: &mut StoreShard, plan: &TxnPlan, tp: &TablePlan, row: usize
 mod tests {
     use super::*;
     use vpart_model::workload::QuerySpec;
-    use vpart_model::{Schema, SiteId, Workload};
+    use vpart_model::{AttrId, Schema, Workload};
 
     /// R{a(4), b(8)}: T0 reads a (1 row); T1 writes b (2 rows).
     fn instance() -> Instance {
@@ -1011,6 +1042,60 @@ mod tests {
             .unwrap();
         wb.transaction("T0", &[q0]).unwrap();
         Instance::new("frac", schema, wb.build().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn uniform_counts() {
+        let ins = instance();
+        let stream = ReplayStream::uniform(&ins, 5, 0);
+        assert_eq!(stream.len(), 10);
+        assert_eq!(stream.counts(2), vec![5, 5]);
+        assert_eq!(stream.executions[..3], [TxnId(0), TxnId(1), TxnId(0)]);
+    }
+
+    #[test]
+    fn weighted_respects_frequencies() {
+        // R{a(4)}: T0's query runs 9× as often as T1's.
+        let mut sb = Schema::builder();
+        sb.table("R", &[("a", 4.0)]).unwrap();
+        let schema = sb.build().unwrap();
+        let mut wb = Workload::builder(&schema);
+        let q0 = wb
+            .add_query(QuerySpec::read("q0").access(&[AttrId(0)]).frequency(9.0))
+            .unwrap();
+        let q1 = wb
+            .add_query(QuerySpec::read("q1").access(&[AttrId(0)]))
+            .unwrap();
+        wb.transaction("T0", &[q0]).unwrap();
+        wb.transaction("T1", &[q1]).unwrap();
+        let ins = Instance::new("t", schema, wb.build().unwrap()).unwrap();
+        let stream = ReplayStream::weighted(&ins, 2000, 3);
+        let c = stream.counts(2);
+        // T0's weight is 9×, so it should dominate ~90/10.
+        assert!(c[0] > c[1] * 5, "counts {c:?}");
+        assert_eq!(c[0] + c[1], 2000);
+        // Deterministic per seed.
+        assert_eq!(stream, ReplayStream::weighted(&ins, 2000, 3));
+    }
+
+    /// The stream's prediction weights each transaction's bytes by its
+    /// execution count.
+    #[test]
+    fn prediction_weights_per_txn_bytes_by_counts() {
+        let stream = ReplayStream {
+            executions: vec![TxnId(1), TxnId(0), TxnId(1)],
+            seed: 0,
+        };
+        let per_txn = [(1.0, 2.0, 0.0), (10.0, 0.5, 4.0)];
+        let p = stream.predicted(&per_txn, |&b| b);
+        assert_eq!(
+            p,
+            PredictedBytes {
+                read: 21.0,
+                written: 3.0,
+                transferred: 8.0,
+            }
+        );
     }
 
     #[test]

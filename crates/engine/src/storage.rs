@@ -1,104 +1,31 @@
-//! Physical storage: sites holding row-store table fractions.
+//! Physical storage: row-store table fractions.
 //!
-//! A [`Fragment`] is one vertical fraction of one table on one site: the
-//! subset of the table's attributes placed there, stored row-contiguously
-//! (the H-store/row-store assumption — access happens in quantums of whole
-//! fraction rows). Row payloads are materialized deterministically so the
-//! executor really moves bytes instead of just counting them.
+//! [`RowSegment`] is the engine's one storage type: one vertical fraction
+//! of one table on one site — the attributes placed there — stored
+//! row-contiguously at physical (rounded-up) attribute widths, so every
+//! access moves one whole fraction row, the paper's row-store access
+//! quantum. A segment covers a contiguous range of table rows: a
+//! migration [`Deployment`](crate::Deployment) holds each fraction as one
+//! segment from row 0, while the replay harness splits every fraction
+//! into row-range shards that different workers own mutably. Row payloads
+//! are materialized deterministically, so storage really moves bytes and
+//! all meters are integer bytes.
 //!
-//! [`RowSegment`] is the replay harness's storage: the same vertical
-//! fraction, stored row-contiguously at physical (rounded-up) attribute
-//! widths — the paper's row-store access quantum, one fraction row per
-//! access — and covering only a contiguous *row segment* of the table, so
-//! disjoint segments can be owned mutably by different replay workers.
-//! Reads copy a fraction row into a caller-provided buffer; all meters
-//! are integer bytes.
+//! `table_fraction` is the single place a partitioning turns into a
+//! site's table fractions.
 
-use vpart_model::{AttrId, SiteId, TableId};
-
-/// One vertical table fraction on one site.
-#[derive(Debug, Clone)]
-pub struct Fragment {
-    /// The table this fraction belongs to.
-    pub table: TableId,
-    /// The attributes stored here, in global id order.
-    pub attrs: Vec<AttrId>,
-    /// Exact fraction row width in bytes (`Σ w_a`, may be fractional —
-    /// widths are *average* widths).
-    pub width: f64,
-    /// Number of materialized rows.
-    pub rows: usize,
-    /// Row-contiguous payload (`rows × ceil(width)` bytes).
-    data: Vec<u8>,
-    byte_width: usize,
-}
-
-impl Fragment {
-    /// Materializes a fragment with `rows` rows of deterministic payload.
-    pub fn new(table: TableId, attrs: Vec<AttrId>, width: f64, rows: usize) -> Self {
-        let byte_width = (width.ceil() as usize).max(1);
-        let mut data = vec![0u8; rows * byte_width];
-        // Deterministic, cheap, non-constant fill: row/table dependent.
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (i as u32)
-                .wrapping_mul(2654435761)
-                .wrapping_add(table.0)
-                .to_le_bytes()[0];
-        }
-        Self {
-            table,
-            attrs,
-            width,
-            rows,
-            data,
-            byte_width,
-        }
-    }
-
-    /// Reads row `i % rows`, returning its payload slice.
-    pub fn read_row(&self, i: usize) -> &[u8] {
-        let r = i % self.rows.max(1);
-        &self.data[r * self.byte_width..(r + 1) * self.byte_width]
-    }
-
-    /// Overwrites row `i % rows` with a tag byte; returns bytes written
-    /// (the exact fractional width, for the meter).
-    pub fn write_row(&mut self, i: usize, tag: u8) -> f64 {
-        let r = i % self.rows.max(1);
-        for b in &mut self.data[r * self.byte_width..(r + 1) * self.byte_width] {
-            *b = tag;
-        }
-        self.width
-    }
-
-    /// True if this fraction stores attribute `a`.
-    pub fn holds(&self, a: AttrId) -> bool {
-        self.attrs.binary_search(&a).is_ok()
-    }
-
-    /// Physical payload size in bytes.
-    pub fn payload_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// The raw physical payload (row-major, `byte_width` bytes per row).
-    /// Recovery tests hash this to prove bit-identical fragment state.
-    pub fn payload(&self) -> &[u8] {
-        &self.data
-    }
-}
+use vpart_model::{AttrId, Instance, Partitioning, SiteId, TableId};
 
 /// One vertical table fraction covering a contiguous row segment.
 ///
-/// Unlike [`Fragment`] (fractional average widths, whole-table rows), a
-/// `RowSegment` stores each attribute at its *physical* width
-/// (`ceil(w_a).max(1)` bytes) and holds only rows
-/// `base_row .. base_row + rows` of the table. Rows are contiguous —
-/// `rows × row_width` bytes, attributes in global id order inside a row —
-/// so one access moves one fraction row, the paper's row-store access
-/// quantum. The replay driver builds one per `(shard, site, table)` so
-/// each worker owns its shard's storage outright — no locks, no atomics,
-/// byte meters in exact `u64`.
+/// A `RowSegment` stores each attribute at its *physical* width
+/// (`ceil(w_a).max(1)` bytes) and holds rows `base_row .. base_row +
+/// rows` of the table. Rows are contiguous — `rows × row_width` bytes,
+/// attributes in global id order inside a row — so one access moves one
+/// fraction row, the paper's row-store access quantum. A migration
+/// deployment holds one per `(site, table)`; the replay driver builds one
+/// per `(shard, site, table)` so each worker owns its shard's storage
+/// outright — no locks, no atomics, byte meters in exact `u64`.
 #[derive(Debug, Clone)]
 pub struct RowSegment {
     /// The table this fraction belongs to.
@@ -146,24 +73,35 @@ impl RowSegment {
     /// crash recovery: a pass discarded by an injected fault rolls its
     /// partial writes back to the durable (initial) payload.
     pub fn refill(&mut self) {
-        // Running offsets keep division out of the per-byte loop: this
-        // fill dominates deployment set-up. (`max(1)`: an attribute-less
-        // segment holds no bytes, and a zero chunk size panics.)
-        let rw = self.row_width.max(1);
-        for (i, row) in self.data.chunks_exact_mut(rw).enumerate() {
-            let r = self.base_row + i;
-            let mut at = 0usize;
-            for (&a, &pw) in self.attrs.iter().zip(&self.widths) {
-                let salt = self.table.0 ^ (a.0 << 8);
-                let first = (r * pw) as u32;
-                for (j, b) in (0u32..).zip(&mut row[at..at + pw]) {
-                    *b = first
-                        .wrapping_add(j)
-                        .wrapping_mul(2654435761)
-                        .wrapping_add(salt) as u8;
-                }
-                at += pw;
+        const K: u32 = 2654435761;
+        if self.data.is_empty() {
+            return;
+        }
+        // The fill dominates deployment set-up and every migration, so
+        // only the first row comes from the formula. A byte's value is
+        // the low byte of a wrapping sum, which depends only on the low
+        // bytes of its terms; one row down, `r * pw + j` grows by `pw`,
+        // so every byte of an attribute grows by the low byte of
+        // `pw * K`. Each further row is the previous one plus that
+        // per-byte step: a vectorizable pass over contiguous bytes.
+        let (first, rest) = self.data.split_at_mut(self.row_width);
+        let mut step = Vec::with_capacity(self.row_width);
+        let mut at = 0usize;
+        for (&a, &pw) in self.attrs.iter().zip(&self.widths) {
+            let salt = self.table.0 ^ (a.0 << 8);
+            let x0 = (self.base_row * pw) as u32;
+            for (j, b) in (0u32..).zip(&mut first[at..at + pw]) {
+                *b = x0.wrapping_add(j).wrapping_mul(K).wrapping_add(salt) as u8;
             }
+            step.resize(at + pw, (pw as u32).wrapping_mul(K) as u8);
+            at += pw;
+        }
+        let mut prev: &[u8] = first;
+        for row in rest.chunks_exact_mut(self.row_width) {
+            for ((b, &p), &s) in row.iter_mut().zip(prev).zip(&step) {
+                *b = p.wrapping_add(s);
+            }
+            prev = row;
         }
     }
 
@@ -208,71 +146,79 @@ impl RowSegment {
     pub fn payload_bytes(&self) -> usize {
         self.data.len()
     }
+
+    /// The raw physical payload (row-major, `row_width` bytes per row).
+    /// Recovery tests hash this to prove bit-identical storage.
+    pub fn payload(&self) -> &[u8] {
+        &self.data
+    }
 }
 
-/// One site: a set of table fractions plus access counters.
-#[derive(Debug, Clone)]
-pub struct Site {
-    /// The site's id.
-    pub id: SiteId,
-    /// Fractions hosted here, grouped per table (`fragments[t]` is `None`
-    /// when no attribute of table `t` lives on this site).
-    pub fragments: Vec<Option<Fragment>>,
+/// Site `site`'s fraction of `table` under `partitioning`: the table's
+/// attributes placed there, materialized as a segment of `rows` table
+/// rows starting at `base_row`. `None` when the site holds none of the
+/// table's attributes, or when the segment would be empty.
+pub(crate) fn table_fraction(
+    instance: &Instance,
+    partitioning: &Partitioning,
+    site: SiteId,
+    table: TableId,
+    base_row: usize,
+    rows: usize,
+) -> Option<RowSegment> {
+    let attrs = fraction_attrs(instance, partitioning, site, table);
+    (!attrs.is_empty() && rows > 0).then(|| RowSegment::new(table, attrs, base_row, rows))
 }
 
-impl Site {
-    /// Creates an empty site for `n_tables` tables.
-    pub fn new(id: SiteId, n_tables: usize) -> Self {
-        Self {
-            id,
-            fragments: vec![None; n_tables],
-        }
-    }
-
-    /// The fraction of table `t` on this site, if any.
-    pub fn fragment(&self, t: TableId) -> Option<&Fragment> {
-        self.fragments[t.index()].as_ref()
-    }
-
-    /// Mutable access to the fraction of table `t`.
-    pub fn fragment_mut(&mut self, t: TableId) -> Option<&mut Fragment> {
-        self.fragments[t.index()].as_mut()
-    }
-
-    /// Total materialized bytes on this site.
-    pub fn stored_bytes(&self) -> usize {
-        self.fragments
-            .iter()
-            .flatten()
-            .map(Fragment::payload_bytes)
-            .sum()
-    }
+/// The attributes of `table` that `partitioning` places on `site`, with
+/// their schema widths, in global id order.
+pub(crate) fn fraction_attrs(
+    instance: &Instance,
+    partitioning: &Partitioning,
+    site: SiteId,
+    table: TableId,
+) -> Vec<(AttrId, f64)> {
+    let schema = instance.schema();
+    schema
+        .table_attrs(table)
+        .map(AttrId::from_index)
+        .filter(|&a| partitioning.has_attr(a, site))
+        .map(|a| (a, schema.width(a)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpart_model::workload::QuerySpec;
+    use vpart_model::{Schema, Workload};
 
+    /// A site's fraction of a table holds exactly the attributes the
+    /// partitioning places there, at physical widths; no attributes, no
+    /// fraction.
     #[test]
-    fn fragment_round_trip() {
-        let mut f = Fragment::new(TableId(0), vec![AttrId(0), AttrId(2)], 12.0, 8);
-        assert_eq!(f.payload_bytes(), 8 * 12);
-        assert!(f.holds(AttrId(2)));
-        assert!(!f.holds(AttrId(1)));
-        let before = f.read_row(3).to_vec();
-        let w = f.write_row(3, 0xAB);
-        assert_eq!(w, 12.0);
-        assert_eq!(f.read_row(3), vec![0xAB; 12].as_slice());
-        assert_ne!(before, f.read_row(3));
-        // Row indices wrap.
-        assert_eq!(f.read_row(11), f.read_row(3));
-    }
+    fn site_holds_fragments_per_table() {
+        let mut sb = Schema::builder();
+        sb.table("R", &[("a", 4.0), ("b", 2.5)]).unwrap();
+        let schema = sb.build().unwrap();
+        let mut wb = Workload::builder(&schema);
+        let q = wb
+            .add_query(QuerySpec::read("q").access(&[AttrId(0)]))
+            .unwrap();
+        wb.transaction("T", &[q]).unwrap();
+        let ins = Instance::new("frac", schema, wb.build().unwrap()).unwrap();
+        let mut part = Partitioning::single_site(&ins, 2).unwrap();
+        part.add_replica(AttrId(1), SiteId(1));
 
-    #[test]
-    fn fractional_widths_round_up_physically() {
-        let f = Fragment::new(TableId(1), vec![AttrId(5)], 2.5, 4);
-        assert_eq!(f.payload_bytes(), 4 * 3);
-        assert_eq!(f.width, 2.5);
+        let home = table_fraction(&ins, &part, SiteId(0), TableId(0), 0, 8).unwrap();
+        assert_eq!(home.attrs, [AttrId(0), AttrId(1)]);
+        assert_eq!((home.row_width(), home.rows, home.base_row), (7, 8, 0));
+        let replica = table_fraction(&ins, &part, SiteId(1), TableId(0), 4, 2).unwrap();
+        assert_eq!(replica.attrs, [AttrId(1)]);
+        assert_eq!(replica.payload_bytes(), 2 * 3);
+        assert!(table_fraction(&ins, &part, SiteId(1), TableId(0), 8, 0).is_none());
+        part.remove_replica(AttrId(1), SiteId(1));
+        assert!(table_fraction(&ins, &part, SiteId(1), TableId(0), 0, 8).is_none());
     }
 
     #[test]
@@ -291,6 +237,14 @@ mod tests {
         f.read_row_into(3, &mut buf);
         assert_eq!(buf, vec![0xCD; 7]);
         assert_ne!(before, buf);
+    }
+
+    #[test]
+    fn fractional_widths_round_up_physically() {
+        // 2.5 bytes round up to 3, 0.2 bytes to the 1-byte minimum.
+        let f = RowSegment::new(TableId(1), vec![(AttrId(5), 2.5), (AttrId(6), 0.2)], 0, 4);
+        assert_eq!((f.attr_width(AttrId(5)), f.attr_width(AttrId(6))), (3, 1));
+        assert_eq!(f.payload_bytes(), 4 * 4);
     }
 
     /// The fill is row-global: the same table row carries the same bytes
@@ -339,15 +293,5 @@ mod tests {
                 at += pw;
             }
         }
-    }
-
-    #[test]
-    fn site_holds_fragments_per_table() {
-        let mut s = Site::new(SiteId(0), 3);
-        assert!(s.fragment(TableId(1)).is_none());
-        s.fragments[1] = Some(Fragment::new(TableId(1), vec![AttrId(0)], 4.0, 2));
-        assert!(s.fragment(TableId(1)).is_some());
-        assert_eq!(s.stored_bytes(), 8);
-        s.fragment_mut(TableId(1)).unwrap().write_row(0, 1);
     }
 }

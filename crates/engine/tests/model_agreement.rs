@@ -1,45 +1,51 @@
-//! The central validation experiment: the execution engine's *measured*
+//! The central validation experiment: the replay engine's *measured*
 //! bytes must equal the cost model's *predicted* bytes.
 //!
 //! The engine (`vpart-engine`) and the cost model (`vpart-core`) are
-//! independent implementations of the same semantics, so exact agreement
-//! on TPC-C and on random instances validates both sides.
+//! independent implementations of the same semantics. With integer
+//! widths, row counts and frequencies the physical meters carry no
+//! quantization gap, so a `k`-round uniform replay must measure exactly
+//! `k ×` the model's `A_R`, `A_W`, `B` and per-site work — bit for bit —
+//! on TPC-C and on random instances, validating both sides.
 
 use vpart_core::sa::{SaConfig, SaSolver};
 use vpart_core::{evaluate, CostConfig};
-use vpart_engine::{Deployment, Trace};
+use vpart_engine::{ReplayConfig, ReplayDeployment, ReplayReport, ReplayStream};
 use vpart_instances::{by_name, tpcc};
-use vpart_model::Partitioning;
+use vpart_model::{Instance, Partitioning};
 
-fn assert_close(a: f64, b: f64, what: &str) {
-    assert!(
-        (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs())),
-        "{what}: engine {a} vs model {b}"
-    );
+/// One deterministic pass of `stream` over `part`: 256 rows per table in
+/// 32 shards, replayed by 2 workers.
+fn replay(ins: &Instance, part: &Partitioning, stream: &ReplayStream) -> ReplayReport {
+    ReplayDeployment::new(ins, part, 256, 32)
+        .expect("deploys")
+        .replay(stream, &ReplayConfig::deterministic(2), None)
+        .expect("replays")
 }
 
-fn check_agreement(ins: &vpart_model::Instance, part: &Partitioning, rounds: usize) {
+/// The measured objective (4), `A_R + A_W + p·B`, of a replay.
+fn measured_objective4(report: &ReplayReport, p: f64) -> f64 {
+    let t = report.totals();
+    t.bytes_read as f64 + t.bytes_written as f64 + p * report.transfer_bytes as f64
+}
+
+fn check_agreement(ins: &Instance, part: &Partitioning, rounds: usize) {
     let cfg = CostConfig::default();
     let predicted = evaluate(ins, part, &cfg);
-    let mut dep = Deployment::new(ins, part, 32).unwrap();
-    let report = dep.execute(&Trace::uniform(ins, rounds)).unwrap();
+    let report = replay(ins, part, &ReplayStream::uniform(ins, rounds, 7));
     let k = rounds as f64;
     let totals = report.totals();
-    assert_close(totals.bytes_read, k * predicted.read, "A_R");
-    assert_close(totals.bytes_written, k * predicted.write, "A_W");
-    assert_close(report.transfer_bytes, k * predicted.transfer, "B");
-    assert_close(
-        report.measured_objective4(cfg.p),
+    assert_eq!(totals.bytes_read as f64, k * predicted.read, "A_R");
+    assert_eq!(totals.bytes_written as f64, k * predicted.write, "A_W");
+    assert_eq!(report.transfer_bytes as f64, k * predicted.transfer, "B");
+    assert_eq!(
+        measured_objective4(&report, cfg.p),
         k * predicted.objective4,
-        "objective (4)",
+        "objective (4)"
     );
-    for (s, (&measured, &pred)) in report
-        .site_work()
-        .iter()
-        .zip(&predicted.site_work)
-        .enumerate()
-    {
-        assert_close(measured, k * pred, &format!("work(site {s})"));
+    assert_eq!(report.per_site.len(), predicted.site_work.len());
+    for (s, (measured, &pred)) in report.per_site.iter().zip(&predicted.site_work).enumerate() {
+        assert_eq!(measured.work() as f64, k * pred, "work(site {s})");
     }
 }
 
@@ -63,6 +69,8 @@ fn tpcc_partitioned_agrees() {
 fn random_instances_agree() {
     for name in ["rndAt8x15", "rndBt16x15", "rndAt8x15u50"] {
         let ins = by_name(name).unwrap();
+        let single = Partitioning::single_site(&ins, 1).unwrap();
+        check_agreement(&ins, &single, 1);
         let r = SaSolver::new(SaConfig::fast_deterministic(9))
             .solve(&ins, 2, &CostConfig::default())
             .unwrap();
@@ -75,18 +83,17 @@ fn partitioning_reduces_measured_bytes_not_just_predicted() {
     // The 37%-style headline must hold in *measured* bytes too.
     let ins = tpcc();
     let cfg = CostConfig::default();
+    let stream = ReplayStream::uniform(&ins, 2, 7);
     let single = Partitioning::single_site(&ins, 1).unwrap();
-    let mut dep = Deployment::new(&ins, &single, 32).unwrap();
-    let base = dep.execute(&Trace::uniform(&ins, 2)).unwrap();
+    let base = replay(&ins, &single, &stream);
 
     let r = SaSolver::new(SaConfig::fast_deterministic(5))
         .solve(&ins, 2, &cfg)
         .unwrap();
-    let mut dep = Deployment::new(&ins, &r.partitioning, 32).unwrap();
-    let split = dep.execute(&Trace::uniform(&ins, 2)).unwrap();
+    let split = replay(&ins, &r.partitioning, &stream);
 
-    let base_cost = base.measured_objective4(cfg.p);
-    let split_cost = split.measured_objective4(cfg.p);
+    let base_cost = measured_objective4(&base, cfg.p);
+    let split_cost = measured_objective4(&split, cfg.p);
     assert!(
         split_cost < base_cost * 0.8,
         "measured cost should drop ≥20%: {base_cost} -> {split_cost}"
@@ -100,14 +107,15 @@ fn single_sitedness_of_reads_is_preserved_in_execution() {
     let r = SaSolver::new(SaConfig::fast_deterministic(5))
         .solve(&ins, 4, &CostConfig::default())
         .unwrap();
-    let mut dep = Deployment::new(&ins, &r.partitioning, 16).unwrap();
-    let trace = Trace {
+    let stream = ReplayStream {
         executions: vec![
             ins.workload().txn_by_name("OrderStatus").unwrap(),
             ins.workload().txn_by_name("StockLevel").unwrap(),
         ],
+        seed: 7,
     };
-    let report = dep.execute(&trace).unwrap();
-    assert_eq!(report.transfer_bytes, 0.0);
-    assert_eq!(report.single_sited_executions, 2);
+    let report = replay(&ins, &r.partitioning, &stream);
+    assert_eq!(report.transfer_bytes, 0);
+    assert_eq!(report.rows_written, 0);
+    assert!(report.rows_read > 0);
 }

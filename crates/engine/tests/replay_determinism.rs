@@ -24,15 +24,10 @@ fn predicted_for_stream(
     part: &Partitioning,
     stream: &ReplayStream,
 ) -> PredictedBytes {
-    let per = predicted_txn_bytes(ins, part, &CostConfig::default());
-    let counts = stream.counts(ins.n_txns());
-    let mut p = PredictedBytes::default();
-    for (t, &c) in counts.iter().enumerate() {
-        p.read += c as f64 * per[t].read;
-        p.written += c as f64 * per[t].written;
-        p.transferred += c as f64 * per[t].transferred;
-    }
-    p
+    stream.predicted(
+        &predicted_txn_bytes(ins, part, &CostConfig::default()),
+        |b| (b.read, b.written, b.transferred),
+    )
 }
 
 #[test]

@@ -73,8 +73,10 @@ impl From<Instance> for InstanceData {
 }
 
 impl Instance {
-    /// Validates cross-references and derives `α`, `φ` and the table-touch
-    /// matrices.
+    /// Validates cross-references and the model's numbers (widths,
+    /// frequencies and row counts strictly positive and finite — the
+    /// builders check them too, but instances can be deserialized), then
+    /// derives `α`, `φ` and the table-touch matrices.
     pub fn new<S: Into<String>>(
         name: S,
         schema: Schema,
@@ -85,18 +87,44 @@ impl Instance {
         let n_queries = workload.n_queries();
         let n_txns = workload.n_txns();
 
+        for attr in schema.attrs() {
+            if !(attr.width > 0.0) || !attr.width.is_finite() {
+                let table = schema
+                    .tables()
+                    .get(attr.table.index())
+                    .map_or("?", |t| t.name.as_str());
+                return Err(ModelError::InvalidWidth {
+                    attr: format!("{table}.{}", attr.name),
+                    width: attr.width,
+                });
+            }
+        }
+
         let mut alpha = BitMatrix::new(n_queries, n_attrs);
         let mut query_tables = BitMatrix::new(n_queries, n_tables);
         for (qi, q) in workload.queries().iter().enumerate() {
+            if !(q.frequency > 0.0) || !q.frequency.is_finite() {
+                return Err(ModelError::InvalidFrequency {
+                    query: q.name.clone(),
+                    frequency: q.frequency,
+                });
+            }
             for &a in &q.attrs {
                 if a.index() >= n_attrs {
                     return Err(ModelError::UnknownAttr(a));
                 }
                 alpha.set(qi, a.index());
             }
-            for &(t, _) in &q.table_rows {
+            for &(t, rows) in &q.table_rows {
                 if t.index() >= n_tables {
                     return Err(ModelError::UnknownTable(t));
+                }
+                if !(rows > 0.0) || !rows.is_finite() {
+                    return Err(ModelError::InvalidRowCount {
+                        query: q.name.clone(),
+                        table: t,
+                        rows,
+                    });
                 }
                 query_tables.set(qi, t.index());
                 // Workload builders derive table_rows from accessed attrs, but
@@ -338,6 +366,33 @@ mod tests {
         let json = serde_json::to_string(&ins).unwrap();
         let back: Instance = serde_json::from_str(&json).unwrap();
         assert_eq!(ins, back);
+    }
+
+    /// Loading re-checks the numbers the builders check: a hand-edited
+    /// instance file with a bad width, frequency or row count is a typed
+    /// error, not a silently wrong model.
+    #[test]
+    fn deserialization_rejects_bad_numbers() {
+        let json = serde_json::to_string(&tiny()).unwrap();
+        let load = |from: &str, to: &str| {
+            assert!(json.contains(from), "{from} not in {json}");
+            serde_json::from_str::<Instance>(&json.replacen(from, to, 1))
+                .unwrap_err()
+                .to_string()
+        };
+        let e = load(r#""bal","width":8"#, r#""bal","width":-4"#);
+        assert!(e.contains("\"C.bal\" has invalid width -4"), "{e}");
+        let e = load(
+            r#""q0","kind":"Read","frequency":2"#,
+            r#""q0","kind":"Read","frequency":-5"#,
+        );
+        assert!(e.contains("\"q0\" has invalid frequency -5"), "{e}");
+        let e = load(r#""frequency":1,"#, r#""frequency":0,"#);
+        assert!(e.contains("\"q1\" has invalid frequency 0"), "{e}");
+        let e = load("[[1,10]]", "[[1,-1]]");
+        assert!(e.contains("\"q1\" has invalid row count -1"), "{e}");
+        // The unedited file still loads.
+        assert_eq!(serde_json::from_str::<Instance>(&json).unwrap(), tiny());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   accumulator under exponential decay or sliding windows that
 //!   materializes fresh [`vpart_model::Instance`] snapshots on demand.
 //!   Feed it ingested instances (any `vpart_ingest` frontend), raw
-//!   execution streams (`vpart_engine::Trace`), or direct counts.
+//!   execution streams (`vpart_engine::ReplayStream`), or direct counts.
 //! * [`drift`] — [`assess_drift`], which re-scores the incumbent
 //!   [`vpart_model::Partitioning`] against the current snapshot and
 //!   triggers a re-solve when its objective-(6) regression over a cheap

@@ -4,8 +4,8 @@
 //! TPC-C and the web-shop workload.
 
 use vpart_core::sa::{SaConfig, SaSolver};
-use vpart_core::CostConfig;
-use vpart_engine::Deployment;
+use vpart_core::{evaluate, CostConfig};
+use vpart_engine::{Deployment, ReplayConfig, ReplayDeployment, ReplayStream};
 use vpart_model::{Instance, Partitioning, SiteId};
 use vpart_online::{canonicalize_against, plan_migration};
 
@@ -64,8 +64,21 @@ fn meter_equals_estimate_on_tpcc() {
         assert_eq!(*measured, change.bytes);
     }
     assert_eq!(dep.partitioning(), &plan.to);
-    // The migrated deployment executes the workload it was re-fit for.
-    dep.execute(&vpart_engine::Trace::uniform(&ins, 1)).unwrap();
+    // The migrated layout serves the workload it was re-fit for: a
+    // replay of one round measures exactly the model's prediction.
+    let predicted = evaluate(&ins, dep.partitioning(), &CostConfig::default());
+    let replayed = ReplayDeployment::new(&ins, dep.partitioning(), 64, 8)
+        .unwrap()
+        .replay(
+            &ReplayStream::uniform(&ins, 1, 3),
+            &ReplayConfig::deterministic(2),
+            None,
+        )
+        .unwrap();
+    let t = replayed.totals();
+    assert_eq!(t.bytes_read as f64, predicted.read);
+    assert_eq!(t.bytes_written as f64, predicted.write);
+    assert_eq!(replayed.transfer_bytes as f64, predicted.transfer);
 }
 
 #[test]

@@ -7,7 +7,6 @@
 //!                [--layout] [--json]
 //! vpart solve    --schema schema.sql --log queries.log --sites 2 ...
 //! vpart ingest   --schema schema.sql --log queries.log [--out instance.json]
-//! vpart simulate --instance tpcc --sites 2 [--rounds 5] [--seed 42]
 //! vpart replay   --instance tpcc --sites 3 [--partitioning part.json]
 //!                [--threads 4] [--duration 1] [--txns 1000] [--rows 256]
 //!                [--shards 32] [--skew zipf:0.99] [--fault replay.pass:nth=1]
@@ -36,7 +35,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use vpart::core::{evaluate, CostConfig};
-use vpart::engine::{Deployment, Trace};
 use vpart::ingest::{IngestOptions, StatsFormat};
 use vpart::model::{report, Partitioning};
 use vpart::obs::{AlertEvent, HealthMonitor, HealthSnapshot, TimeSeriesStore};
@@ -60,7 +58,6 @@ fn usage() -> &'static str {
                       [--out <file.json>] [--name <s>] [--text-width <bytes>]\n\
                       [--default-rows <n>] [--sample-rate <f>] [--confidence-min <n>]\n\
                       [--lenient] [--strict] [--json]\n\
-       vpart simulate --instance <name> --sites <k> [--rounds <n>] [--seed <n>]\n\
        vpart replay   --instance <name|file.json> --sites <k>\n\
                       [--partitioning <part.json>] [--threads <n>] [--shards <n>]\n\
                       [--rows <n>] [--txns <n> | --rounds <n>] [--duration <secs>]\n\
@@ -656,59 +653,6 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
-    let ins = load_instance(&flags)?;
-    let sites: usize = get(&flags, "sites", 2)?;
-    let rounds: usize = get(&flags, "rounds", 5)?;
-    let seed: u64 = get(&flags, "seed", 0xC0FFEE)?;
-    let cost = cost_config(&flags)?;
-
-    let r = SaSolver::new(SaConfig {
-        seed,
-        ..Default::default()
-    })
-    .solve(&ins, sites, &cost)
-    .map_err(|e| e.to_string())?;
-    let predicted = &r.breakdown;
-    let mut dep = Deployment::new(&ins, &r.partitioning, 64).map_err(|e| e.to_string())?;
-    let measured = dep
-        .execute(&Trace::uniform(&ins, rounds))
-        .map_err(|e| e.to_string())?;
-    let k = rounds as f64;
-    let t = measured.totals();
-
-    println!("instance {} on {sites} sites, {rounds} rounds", ins.name());
-    println!("                 predicted(×{rounds})   measured");
-    println!(
-        "bytes read       {:>14.1} {:>14.1}",
-        k * predicted.read,
-        t.bytes_read
-    );
-    println!(
-        "bytes written    {:>14.1} {:>14.1}",
-        k * predicted.write,
-        t.bytes_written
-    );
-    println!(
-        "bytes shipped    {:>14.1} {:>14.1}",
-        k * predicted.transfer,
-        measured.transfer_bytes
-    );
-    println!(
-        "objective (4)    {:>14.1} {:>14.1}",
-        k * predicted.objective4,
-        measured.measured_objective4(cost.p)
-    );
-    println!(
-        "single-sited executions: {}/{} ({:.0}%)",
-        measured.single_sited_executions,
-        measured.executions,
-        measured.single_sited_ratio() * 100.0
-    );
-    println!("stored bytes across sites: {}", dep.stored_bytes());
-    Ok(())
-}
-
 /// Loads `--partitioning`: either a bare [`Partitioning`] JSON or a
 /// `vpart solve --json` output (its `partitioning` field).
 fn load_partitioning(path: &str, ins: &Instance) -> Result<Partitioning, String> {
@@ -728,9 +672,7 @@ fn load_partitioning(path: &str, ins: &Instance) -> Result<Partitioning, String>
 
 fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
     use vpart::core::predicted_txn_bytes;
-    use vpart::engine::{
-        FaultInjector, PredictedBytes, ReplayConfig, ReplayDeployment, ReplayStream, RowSkew,
-    };
+    use vpart::engine::{FaultInjector, ReplayConfig, ReplayDeployment, ReplayStream, RowSkew};
     use vpart::online::{OnlineWorkload, TrackerConfig};
 
     let ins = load_instance(&flags)?;
@@ -776,14 +718,9 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
     };
 
     // The cost model's prediction for one pass of this stream.
-    let per_txn = predicted_txn_bytes(&ins, &part, &cost);
-    let counts = stream.counts(ins.n_txns());
-    let mut predicted = PredictedBytes::default();
-    for (t, &c) in counts.iter().enumerate() {
-        predicted.read += c as f64 * per_txn[t].read;
-        predicted.written += c as f64 * per_txn[t].written;
-        predicted.transferred += c as f64 * per_txn[t].transferred;
-    }
+    let predicted = stream.predicted(&predicted_txn_bytes(&ins, &part, &cost), |b| {
+        (b.read, b.written, b.transferred)
+    });
 
     let mut dep = ReplayDeployment::new(&ins, &part, rows, shards).map_err(|e| e.to_string())?;
     dep = dep.with_obs(obs.clone());
@@ -1560,7 +1497,6 @@ fn main() -> ExitCode {
         "list" => parse_flags(&args[1..]).and_then(cmd_list),
         "solve" => parse_flags(&args[1..]).and_then(cmd_solve),
         "ingest" => parse_flags(&args[1..]).and_then(cmd_ingest),
-        "simulate" => parse_flags(&args[1..]).and_then(cmd_simulate),
         "replay" => parse_flags(&args[1..]).and_then(cmd_replay),
         "watch" => parse_flags(&args[1..]).and_then(cmd_watch),
         "inspect" => cmd_inspect(&args[1..]),

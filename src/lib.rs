@@ -14,11 +14,11 @@
 //! * [`instances`] — TPC-C v5 and the paper's random instance classes,
 //! * [`ingest`] — SQL DDL + workload ingestion into instances (query
 //!   logs, `pg_stat_statements` / `performance_schema` dumps),
-//! * [`engine`] — an H-store-like row-store simulator validating the
-//!   model, plus the production-rate trace-replay load harness
-//!   (`vpart replay`: true-byte meters vs the cost model's prediction),
-//!   crash-safe batched migrations through a write-ahead journal, and
-//!   deterministic seeded fault injection (`--fault`),
+//! * [`engine`] — an H-store-like row store: the production-rate replay
+//!   harness validating the model (`vpart replay`: true-byte meters vs
+//!   the cost model's prediction), crash-safe batched migrations through
+//!   a write-ahead journal, and deterministic seeded fault injection
+//!   (`--fault`),
 //! * [`online`] — adaptive repartitioning: streaming workload tracking,
 //!   drift-triggered warm re-solves and minimum-movement migration plans,
 //!   with hysteresis, movement-cost amortization, retry backoff and
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::engine::{
         BatchedMigrationReport, Deployment, FaultInjector, FaultTrigger, JournalRecord,
         JournalState, MigrationJournal, MigrationReport, PredictedBytes, ReplayConfig,
-        ReplayDeployment, ReplayModelError, ReplayReport, ReplayStream, RowSkew, Trace,
+        ReplayDeployment, ReplayModelError, ReplayReport, ReplayStream, RowSkew,
     };
     pub use crate::ingest::{
         ConfidenceLevel, IngestError, IngestOptions, IngestReport, Ingestion, StatsFormat,

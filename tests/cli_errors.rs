@@ -106,7 +106,58 @@ fn corrupt_instance_files_error_cleanly() {
         ],
         "not a valid instance file",
     );
+
+    // Well-formed JSON with numbers the model forbids: the web-shop
+    // instance from `ingest --out`, hand-edited to a negative frequency,
+    // a negative width or a zero row count.
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let out = vpart(&[
+        "ingest",
+        "--schema",
+        &format!("{data}/schema.sql"),
+        "--log",
+        &format!("{data}/queries.log"),
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "ingest --out succeeds");
+    let good = std::fs::read_to_string(&path).unwrap();
+    for (key, value, needle) in [
+        ("frequency", "-5", "invalid frequency -5"),
+        ("width", "-4", "invalid width -4"),
+        ("table_rows", "0", "invalid row count 0"),
+    ] {
+        std::fs::write(&path, with_first_number(&good, key, value)).unwrap();
+        assert_clean_error(
+            &[
+                "solve",
+                "--instance",
+                path.to_str().unwrap(),
+                "--sites",
+                "2",
+            ],
+            needle,
+        );
+    }
     let _ = std::fs::remove_file(&path);
+}
+
+/// `json` with the first number after the key `"key"` replaced by
+/// `value` (for `table_rows`, the first `[table, rows]` pair's rows).
+fn with_first_number(json: &str, key: &str, value: &str) -> String {
+    let mut at = json.find(&format!("\"{key}\"")).expect("key present") + key.len() + 2;
+    if key == "table_rows" {
+        // Skip `: [ [ <table>,` to the row count.
+        at += json[at..].find(',').expect("pair") + 1;
+    }
+    let start = at
+        + json[at..]
+            .find(|c: char| c == '-' || c.is_ascii_digit())
+            .unwrap();
+    let len = json[start..]
+        .find(|c: char| !(c == '-' || c == '.' || c.is_ascii_digit()))
+        .unwrap();
+    format!("{}{value}{}", &json[..start], &json[start + len..])
 }
 
 #[test]

@@ -24,14 +24,20 @@ fn full_pipeline_on_tpcc() {
     .unwrap();
     assert!(qp.breakdown.objective6 <= sa.breakdown.objective6 + 1e-9);
 
-    // Deploy the QP layout and execute: measured == predicted.
-    let mut dep = Deployment::new(&instance, &qp.partitioning, 32).unwrap();
-    let measured = dep.execute(&Trace::uniform(&instance, 2)).unwrap();
+    // Deploy the QP layout and replay two rounds: measured == predicted.
+    let measured = ReplayDeployment::new(&instance, &qp.partitioning, 256, 32)
+        .unwrap()
+        .replay(
+            &ReplayStream::uniform(&instance, 2, 21),
+            &ReplayConfig::deterministic(2),
+            None,
+        )
+        .unwrap();
     let predicted = evaluate(&instance, &qp.partitioning, &cost);
-    assert!(
-        (measured.measured_objective4(cost.p) - 2.0 * predicted.objective4).abs()
-            < 1e-6 * predicted.objective4,
-    );
+    let t = measured.totals();
+    assert_eq!(t.bytes_read as f64, 2.0 * predicted.read);
+    assert_eq!(t.bytes_written as f64, 2.0 * predicted.write);
+    assert_eq!(measured.transfer_bytes as f64, 2.0 * predicted.transfer);
 }
 
 #[test]

@@ -105,18 +105,20 @@ proptest! {
             .solve(&instance, 2, &cost)
             .unwrap();
         let predicted = evaluate(&instance, &sa.partitioning, &cost);
-        let mut dep = Deployment::new(&instance, &sa.partitioning, 8).unwrap();
-        let measured = dep
-            .execute(&vpart::engine::Trace::uniform(&instance, 1))
+        let measured = ReplayDeployment::new(&instance, &sa.partitioning, 64, 8)
+            .unwrap()
+            .replay(
+                &ReplayStream::uniform(&instance, 1, seed),
+                &ReplayConfig::deterministic(2),
+                None,
+            )
             .unwrap();
         let t = measured.totals();
-        prop_assert!((t.bytes_read - predicted.read).abs() <= 1e-6 * (1.0 + predicted.read));
-        prop_assert!(
-            (t.bytes_written - predicted.write).abs() <= 1e-6 * (1.0 + predicted.write)
-        );
-        prop_assert!(
-            (measured.transfer_bytes - predicted.transfer).abs()
-                <= 1e-6 * (1.0 + predicted.transfer)
-        );
+        prop_assert_eq!(t.bytes_read as f64, predicted.read);
+        prop_assert_eq!(t.bytes_written as f64, predicted.write);
+        prop_assert_eq!(measured.transfer_bytes as f64, predicted.transfer);
+        for (site, &work) in measured.per_site.iter().zip(&predicted.site_work) {
+            prop_assert_eq!(site.work() as f64, work);
+        }
     }
 }
