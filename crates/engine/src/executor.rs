@@ -883,6 +883,7 @@ impl<'a> Deployment<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::{ReplayConfig, ReplayDeployment, ReplayStream};
     use vpart_model::workload::QuerySpec;
     use vpart_model::{AttrId, Schema, Workload};
 
@@ -919,6 +920,81 @@ mod tests {
             Deployment::new(&ins, &part, 4),
             Err(EngineError::Model(_))
         ));
+    }
+
+    /// A migration deployment's fractions are the storage replay meters:
+    /// T0 reads one row of the whole single-site fraction and T1 writes
+    /// two, so the byte meters are that fraction's row width by hand.
+    #[test]
+    fn single_site_execution_meters_by_hand() {
+        let ins = instance();
+        let part = Partitioning::single_site(&ins, 1).unwrap();
+        let dep = Deployment::new(&ins, &part, 16).unwrap();
+        // One fraction row holds a + b = 4 + 8 = 12 physical bytes.
+        let row = dep.fraction(SiteId(0), TableId(0)).unwrap().row_width() as u64;
+        assert_eq!(row, 12);
+        let mut replay = ReplayDeployment::new(&ins, dep.partitioning(), 16, 1).unwrap();
+        assert_eq!(replay.stored_bytes(), dep.stored_bytes());
+        let report = replay
+            .replay(
+                &ReplayStream::uniform(&ins, 1, 0),
+                &ReplayConfig::deterministic(1),
+                None,
+            )
+            .unwrap();
+        let t = report.totals();
+        assert_eq!(t.bytes_read, row);
+        assert_eq!(t.bytes_written, 2 * row);
+        assert_eq!(report.transfer_bytes, 0);
+        assert_eq!((report.rows_read, report.rows_written), (1, 2));
+    }
+
+    /// Migrating to a replicated layout makes the replica's writes ship
+    /// transfer bytes when the migrated layout is replayed.
+    #[test]
+    fn replication_generates_transfer() {
+        let ins = instance();
+        let from = Partitioning::single_site(&ins, 2).unwrap();
+        let mut to = from.clone();
+        to.add_replica(AttrId(1), SiteId(1)); // b replicated; T1 home = s0
+        let plan = vpart_model::MigrationPlan::between(&ins, &from, &to, 8).unwrap();
+        let mut dep = Deployment::new(&ins, &from, 8).unwrap();
+        dep.apply_migration(&plan).unwrap();
+        let mut replay = ReplayDeployment::new(&ins, dep.partitioning(), 8, 2).unwrap();
+        assert_eq!(replay.stored_bytes(), dep.stored_bytes());
+        let report = replay
+            .replay(
+                &ReplayStream::uniform(&ins, 1, 0),
+                &ReplayConfig::deterministic(1),
+                None,
+            )
+            .unwrap();
+        // Transfer: b (8 bytes) × 2 rows to the remote replica.
+        assert_eq!(report.transfer_bytes, 16);
+        // Writes hit both fractions: 2 × 12 at site 0 + 2 × 8 at site 1.
+        assert_eq!(report.per_site[0].bytes_written, 24);
+        assert_eq!(report.per_site[1].bytes_written, 16);
+    }
+
+    /// Deploying and migrating the same layouts twice yields bit-identical
+    /// storage, before and after the migration.
+    #[test]
+    fn deterministic_checksum() {
+        let ins = instance();
+        let from = Partitioning::single_site(&ins, 2).unwrap();
+        let mut to = from.clone();
+        to.add_replica(AttrId(1), SiteId(1));
+        to.move_txn(TxnId(1), SiteId(1));
+        let plan = vpart_model::MigrationPlan::between(&ins, &from, &to, 16).unwrap();
+        let run = || {
+            let mut dep = Deployment::new(&ins, &from, 16).unwrap();
+            let deployed = dep.state_fingerprint();
+            dep.apply_migration(&plan).unwrap();
+            (deployed, dep.state_fingerprint())
+        };
+        let (deployed, migrated) = run();
+        assert_eq!(run(), (deployed, migrated));
+        assert_ne!(deployed, migrated, "the migration changes the state");
     }
 
     #[test]

@@ -221,6 +221,30 @@ mod tests {
         assert!(table_fraction(&ins, &part, SiteId(1), TableId(0), 0, 8).is_none());
     }
 
+    /// A written fraction row reads back, no other row changes, and
+    /// `refill` restores the initial payload.
+    #[test]
+    fn fragment_round_trip() {
+        // Rows 4..10 of a 4 + 8 = 12-byte fraction.
+        let mut f = RowSegment::new(TableId(0), vec![(AttrId(0), 4.0), (AttrId(1), 8.0)], 4, 6);
+        let initial = f.payload().to_vec();
+        let mut buf = vec![0u8; f.row_width()];
+        f.read_row_into(6, &mut buf);
+        let before = buf.clone();
+        assert_eq!(f.write_row(6, 0xAB), 12);
+        f.read_row_into(6, &mut buf);
+        assert_eq!(buf, vec![0xAB; 12]);
+        assert_ne!(before, buf);
+        // Only table row 6 changed: payload bytes (6 - 4) × 12 .. 36.
+        for (i, (now, was)) in f.payload().iter().zip(&initial).enumerate() {
+            if !(24..36).contains(&i) {
+                assert_eq!(now, was, "payload byte {i} changed");
+            }
+        }
+        f.refill();
+        assert_eq!(f.payload(), initial.as_slice());
+    }
+
     #[test]
     fn row_segment_round_trip() {
         let mut f = RowSegment::new(TableId(0), vec![(AttrId(0), 4.0), (AttrId(2), 2.5)], 0, 8);
