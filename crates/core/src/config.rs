@@ -70,11 +70,6 @@ impl Default for CostConfig {
 }
 
 impl CostConfig {
-    /// The paper's remote-placement default (`p = 8`, `λ = 0.1`).
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// Local placement: all partitions on one host, no transfer cost
     /// (`p = 0`), as in Table 6's "Local" columns.
     pub fn local_placement() -> Self {

@@ -5,6 +5,7 @@
 use crate::faults::{FaultInjector, FP_MIGRATION_BATCH, FP_MIGRATION_ROLLBACK};
 use crate::journal::{JournalRecord, MigrationJournal};
 use crate::storage::{table_fraction, RowSegment};
+use std::collections::BTreeSet;
 use std::fmt;
 use vpart_model::{
     BatchedMigrationPlan, Instance, MigrationOp, MigrationPlan, Partitioning, SiteId, TableId,
@@ -434,14 +435,10 @@ impl<'a> Deployment<'a> {
                 break;
             }
             journal.append(JournalRecord::BatchBegin { batch: k })?;
-            let mut batch_bytes = 0.0f64;
-            for op in &batch.ops {
-                let (b, i, d, m) = self.apply_op(op, true);
-                batch_bytes += b;
-                installs += i;
-                drops += d;
-                moves += m;
-            }
+            let (batch_bytes, i, d, m) = self.apply_ops(batch.ops.iter(), true);
+            installs += i;
+            drops += d;
+            moves += m;
             if self.obs.is_enabled() {
                 self.obs.event(
                     "migration_batch.applied",
@@ -576,14 +573,10 @@ impl<'a> Deployment<'a> {
         while journal.state().boundary() > 0 {
             let k = journal.state().boundary() - 1;
             journal.append(JournalRecord::UndoBegin { batch: k })?;
-            let mut undo_bytes = 0.0f64;
-            for op in plan.batches[k].ops.iter().rev() {
-                let (b, i, d, m) = self.apply_op(op, false);
-                undo_bytes += b;
-                installs += i;
-                drops += d;
-                moves += m;
-            }
+            let (undo_bytes, i, d, m) = self.apply_ops(plan.batches[k].ops.iter().rev(), false);
+            installs += i;
+            drops += d;
+            moves += m;
             if self.obs.is_enabled() {
                 self.obs.event(
                     "migration_batch.undone",
@@ -705,43 +698,43 @@ impl<'a> Deployment<'a> {
         h
     }
 
-    /// Applies one micro-op (or its inverse) to the partitioning and the
-    /// physical fragments, returning `(metered bytes, installs, drops,
-    /// moves)`. Data-shipping ops — forward installs, undo re-installs —
-    /// meter `w_a × rows`, the exact expression the plan priced.
-    fn apply_op(&mut self, op: &MigrationOp, forward: bool) -> (f64, usize, usize, usize) {
+    /// Applies a batch's micro-ops (or their inverses, in the order given)
+    /// to the logical partitioning, then rebuilds each touched fraction
+    /// once. Returns `(metered bytes, installs, drops, moves)`; forward
+    /// installs and undo re-installs ship `w_a × rows`, as the plan priced.
+    fn apply_ops<'p>(
+        &mut self,
+        ops: impl Iterator<Item = &'p MigrationOp>,
+        forward: bool,
+    ) -> (f64, usize, usize, usize) {
         let schema = self.instance.schema();
-        match *op {
-            MigrationOp::Install { attr, site, .. } => {
-                let table = schema.table_of(attr);
-                if forward {
-                    self.partitioning.add_replica(attr, site);
-                    self.rebuild_fraction(site, table);
-                    (schema.width(attr) * self.rows_per_fragment as f64, 1, 0, 0)
-                } else {
-                    self.partitioning.remove_replica(attr, site);
-                    self.rebuild_fraction(site, table);
-                    (0.0, 0, 1, 0)
+        let (mut meters, mut touched) = ((0.0f64, 0, 0, 0), BTreeSet::new());
+        for op in ops {
+            // An undone drop re-installs; an undone install drops.
+            let (attr, site, install) = match *op {
+                MigrationOp::Install { attr, site, .. } => (attr, site, forward),
+                MigrationOp::Drop { attr, site } => (attr, site, !forward),
+                MigrationOp::MoveTxn { txn, from, to } => {
+                    self.partitioning
+                        .move_txn(txn, if forward { to } else { from });
+                    meters.3 += 1;
+                    continue;
                 }
+            };
+            if install {
+                self.partitioning.add_replica(attr, site);
+                meters.0 += schema.width(attr) * self.rows_per_fragment as f64;
+                meters.1 += 1;
+            } else {
+                self.partitioning.remove_replica(attr, site);
+                meters.2 += 1;
             }
-            MigrationOp::Drop { attr, site } => {
-                let table = schema.table_of(attr);
-                if forward {
-                    self.partitioning.remove_replica(attr, site);
-                    self.rebuild_fraction(site, table);
-                    (0.0, 0, 1, 0)
-                } else {
-                    self.partitioning.add_replica(attr, site);
-                    self.rebuild_fraction(site, table);
-                    (schema.width(attr) * self.rows_per_fragment as f64, 1, 0, 0)
-                }
-            }
-            MigrationOp::MoveTxn { txn, from, to } => {
-                self.partitioning
-                    .move_txn(txn, if forward { to } else { from });
-                (0.0, 0, 0, 1)
-            }
+            touched.insert((site, schema.table_of(attr)));
         }
+        for (site, table) in touched {
+            self.rebuild_fraction(site, table);
+        }
+        meters
     }
 
     /// Re-derives the `(site, table)` fraction from the current logical

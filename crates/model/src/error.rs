@@ -70,6 +70,9 @@ pub enum ModelError {
     ReplicationForbidden { attr: AttrId },
     /// Number of sites must be at least one.
     NoSites,
+    /// A table's attribute range breaks the schema's tiling of
+    /// `0..n_attrs` (only a deserialized schema can).
+    InvalidTableRange(String, std::ops::Range<usize>),
     /// A migration batch byte budget was not strictly positive (NaN, zero
     /// or negative). `f64::INFINITY` is allowed and means "one batch".
     InvalidBatchBytes { bytes: f64 },
@@ -143,6 +146,11 @@ impl fmt::Display for ModelError {
                 )
             }
             Self::NoSites => write!(f, "at least one site is required"),
+            Self::InvalidTableRange(table, range) => write!(
+                f,
+                "table {table:?} has invalid attribute range {range:?} (table ranges must \
+                 tile the attributes in order, each owning its own)"
+            ),
             Self::InvalidBatchBytes { bytes } => {
                 write!(
                     f,

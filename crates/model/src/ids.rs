@@ -79,11 +79,6 @@ define_id!(
     "s"
 );
 
-/// Iterator over the first `n` ids of a given type.
-pub fn iter_ids<I: Copy>(n: usize, make: fn(usize) -> I) -> impl Iterator<Item = I> {
-    (0..n).map(make)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,10 +73,10 @@ impl From<Instance> for InstanceData {
 }
 
 impl Instance {
-    /// Validates cross-references and the model's numbers (widths,
-    /// frequencies and row counts strictly positive and finite — the
-    /// builders check them too, but instances can be deserialized), then
-    /// derives `α`, `φ` and the table-touch matrices.
+    /// Validates table ranges, cross-references and the model's numbers
+    /// (widths, frequencies and row counts strictly positive and finite —
+    /// the builders check them too, but instances can be deserialized),
+    /// then derives `α`, `φ` and the table-touch matrices.
     pub fn new<S: Into<String>>(
         name: S,
         schema: Schema,
@@ -87,6 +87,7 @@ impl Instance {
         let n_queries = workload.n_queries();
         let n_txns = workload.n_txns();
 
+        schema.check_ranges()?;
         for attr in schema.attrs() {
             if !(attr.width > 0.0) || !attr.width.is_finite() {
                 let table = schema
@@ -369,8 +370,8 @@ mod tests {
     }
 
     /// Loading re-checks the numbers the builders check: a hand-edited
-    /// instance file with a bad width, frequency or row count is a typed
-    /// error, not a silently wrong model.
+    /// instance file with a bad width, frequency, row count or table range
+    /// is a typed error, not a silently wrong model.
     #[test]
     fn deserialization_rejects_bad_numbers() {
         let json = serde_json::to_string(&tiny()).unwrap();
@@ -391,6 +392,13 @@ mod tests {
         assert!(e.contains("\"q1\" has invalid frequency 0"), "{e}");
         let e = load("[[1,10]]", "[[1,-1]]");
         assert!(e.contains("\"q1\" has invalid row count -1"), "{e}");
+        // A table range past the attributes would panic in the bit
+        // matrices if it loaded.
+        let e = load(r#""attr_end":2"#, r#""attr_end":600"#);
+        assert!(
+            e.contains("\"C\" has invalid attribute range 0..600"),
+            "{e}"
+        );
         // The unedited file still loads.
         assert_eq!(serde_json::from_str::<Instance>(&json).unwrap(), tiny());
     }

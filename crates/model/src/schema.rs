@@ -125,6 +125,28 @@ impl Schema {
             .map(AttrId::from_index)
     }
 
+    /// Checks what the builder guarantees but a deserialized schema may
+    /// break: the tables' attribute ranges tile `0..n_attrs` in order,
+    /// each non-empty and holding only attributes naming that table.
+    pub(crate) fn check_ranges(&self) -> Result<(), ModelError> {
+        let mut next = 0;
+        for (i, t) in self.tables.iter().enumerate() {
+            let range = t.attrs();
+            let owned = |a: &[Attribute]| !a.is_empty() && a.iter().all(|a| a.table.index() == i);
+            if range.start != next || !self.attrs.get(range.clone()).is_some_and(owned) {
+                return Err(ModelError::InvalidTableRange(t.name.clone(), range));
+            }
+            next = range.end;
+        }
+        match self.tables.last() {
+            Some(t) if next != self.attrs.len() => {
+                Err(ModelError::InvalidTableRange(t.name.clone(), t.attrs()))
+            }
+            Some(_) => Ok(()),
+            None => Err(ModelError::EmptySchema),
+        }
+    }
+
     /// `"Table.Attr"` display name for reporting.
     pub fn qualified_name(&self, a: AttrId) -> String {
         let attr = self.attr(a);
@@ -287,6 +309,27 @@ mod tests {
             b.table("T", &[]).unwrap_err(),
             ModelError::EmptyTable("T".into())
         );
+    }
+
+    #[test]
+    fn check_ranges_rejects_broken_structure() {
+        assert_eq!(two_table_schema().check_ranges(), Ok(()));
+        let edits: [&dyn Fn(&mut Schema); 5] = [
+            &|s| s.tables[0].attr_end = AttrId(600), // runs past the attributes
+            &|s| s.tables[1].first_attr = AttrId(2), // overlaps its predecessor
+            &|s| s.tables[1].attr_end = AttrId(3),   // empty
+            &|s| s.attrs[1].table = TableId(1),      // holds another table's attribute
+            &|s| s.tables[1].attr_end = AttrId(4),   // leaves a trailing attribute
+        ];
+        for edit in edits {
+            let mut s = two_table_schema();
+            edit(&mut s);
+            assert!(
+                matches!(s.check_ranges(), Err(ModelError::InvalidTableRange(..))),
+                "{:?}",
+                s.tables
+            );
+        }
     }
 
     #[test]

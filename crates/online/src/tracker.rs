@@ -458,11 +458,6 @@ impl OnlineWorkload {
         self.templates.len()
     }
 
-    /// Name of template `i`.
-    pub fn template_name(&self, i: usize) -> &str {
-        &self.templates[i].name
-    }
-
     /// The open epoch's number (starts at 0).
     pub fn epoch(&self) -> u64 {
         self.epoch

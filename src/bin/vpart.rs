@@ -1,290 +1,399 @@
 //! `vpart` — command-line partitioning advisor.
 //!
-//! ```text
-//! vpart list     [--json]
-//! vpart solve    --instance tpcc --sites 3 [--algo qp|sa|exact] [--p 8]
-//!                [--lambda 0.1] [--disjoint] [--seed 42] [--time-limit 60]
-//!                [--layout] [--json]
-//! vpart solve    --schema schema.sql --log queries.log --sites 2 ...
-//! vpart ingest   --schema schema.sql --log queries.log [--out instance.json]
-//! vpart replay   --instance tpcc --sites 3 [--partitioning part.json]
-//!                [--threads 4] [--duration 1] [--txns 1000] [--rows 256]
-//!                [--shards 32] [--skew zipf:0.99] [--fault replay.pass:nth=1]
-//!                [--error-bound 0.15] [--json]
-//! vpart watch    --schema schema.sql --log p1.log,p2.log --sites 2
-//!                [--interval 2] [--decay 0.5 | --window 3]
-//!                [--drift-threshold 0.05] [--rows 64] [--hysteresis 1]
-//!                [--amortize-epochs 0] [--max-retries 3]
-//!                [--migration-batch-bytes 4096] [--fault spec] [--json]
-//! vpart inspect  trace.jsonl [--health health.json]
-//! vpart inspect  --journal journal.jsonl [--health health.json]
-//! vpart monitor  trace.jsonl [--follow] [--metrics health.json]
-//!                [--rules rules.json] [--json]
-//! ```
-//!
-//! `solve` and `watch` take `--trace-out FILE` (structured span/event
-//! trace, JSONL) and `--metrics-out FILE` (Prometheus-style exposition);
-//! `inspect` summarizes a recorded trace. `watch` and `replay` also take
-//! the live-health flags `--health-out FILE` (time-series + alert
-//! snapshot, rewritten each tick), `--alerts-exit` (exit non-zero while
-//! a critical alert fires), `--rules FILE` (declarative alert rules
-//! replacing the built-ins) and `--flight-dir DIR` (crash flight
-//! recorder); `monitor` renders the health view of a recorded trace.
+//! Every command declares its flags once, in [`FLAGS`]; `vpart help`
+//! prints the synopses and defaults generated from it, and an undeclared
+//! flag is an error listing the flags the command accepts.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
-use vpart::core::{evaluate, CostConfig};
-use vpart::ingest::{IngestOptions, StatsFormat};
-use vpart::model::{report, Partitioning};
+use std::str::FromStr;
+use vpart::core::predicted_txn_bytes;
+use vpart::model::report;
 use vpart::obs::{AlertEvent, HealthMonitor, HealthSnapshot, TimeSeriesStore};
 use vpart::prelude::*;
-use vpart::Algorithm;
 
-fn usage() -> &'static str {
-    "vpart — vertical partitioning advisor for OLTP workloads\n\
-     \n\
-     USAGE:\n\
-       vpart list     [--json]\n\
-       vpart solve    --instance <name|file.json> --sites <k> [--algo qp|sa|exact]\n\
-                      [--p <f>] [--lambda <f>] [--disjoint] [--seed <n>]\n\
-                      [--restarts <n>] [--threads <n>]\n\
-                      [--time-limit <secs>] [--layout] [--json]\n\
-                      [--trace-out <file.jsonl>] [--metrics-out <file.prom>]\n\
-       vpart solve    --schema <ddl.sql> --log <queries.log> --sites <k> [...]\n\
-       vpart solve    --schema <ddl.sql> --stats <dump> --stats-format <fmt> ...\n\
-       vpart ingest   --schema <ddl.sql> (--log <queries.log> |\n\
-                      --stats <dump> [--stats-format pgss-csv|pgss-json|perf-schema])\n\
-                      [--out <file.json>] [--name <s>] [--text-width <bytes>]\n\
-                      [--default-rows <n>] [--sample-rate <f>] [--confidence-min <n>]\n\
-                      [--lenient] [--strict] [--json]\n\
-       vpart replay   --instance <name|file.json> --sites <k>\n\
-                      [--partitioning <part.json>] [--threads <n>] [--shards <n>]\n\
-                      [--rows <n>] [--txns <n> | --rounds <n>] [--duration <secs>]\n\
-                      [--seed <n>] [--skew uniform|zipf:<theta>|hotspot:<frac>]\n\
-                      [--fault <point:trigger,...>] [--error-bound <f>] [--json]\n\
-                      [--trace-out <file.jsonl>] [--metrics-out <file.prom>]\n\
-                      [--health-out <file.json>] [--alerts-exit]\n\
-                      [--rules <rules.json>] [--flight-dir <dir>]\n\
-       vpart replay   --schema <ddl.sql> --log <queries.log> --sites <k> [...]\n\
-       vpart watch    --schema <ddl.sql> (--log <p1,p2,...> | --stats <p1,p2,...>\n\
-                      [--stats-format <fmt>]) --sites <k> [--interval <epochs>]\n\
-                      [--decay <f> | --window <n>] [--drift-threshold <f>]\n\
-                      [--rows <n>] [--restarts <n>] [--threads <n>]\n\
-                      [--hysteresis <epochs>] [--amortize-epochs <n>]\n\
-                      [--max-retries <n>] [--migration-batch-bytes <B>]\n\
-                      [--fault <point:trigger,...>] [--json]\n\
-                      [--trace-out <file.jsonl>] [--metrics-out <file.prom>]\n\
-                      [--health-out <file.json>] [--alerts-exit]\n\
-                      [--rules <rules.json>] [--flight-dir <dir>]\n\
-       vpart inspect  <trace.jsonl> [--health <health.json>] |\n\
-                      --journal <journal.jsonl> [--health <health.json>] |\n\
-                      --health <health.json>\n\
-       vpart monitor  <trace.jsonl> [--follow] [--poll-ms <n>] [--max-polls <n>]\n\
-                      [--metrics <health.json>] [--rules <rules.json>] [--json]\n\
-     \n\
-     Instances: `tpcc`, any rnd class name (e.g. rndAt8x15, rndBt16x100u50), a\n\
-     JSON instance file, a SQL schema + query log via --schema/--log, or a\n\
-     schema + statistics dump (pg_stat_statements CSV/JSON, MySQL\n\
-     performance_schema digest CSV/TSV) via --schema/--stats\n\
-     (`vpart ingest` converts either into the JSON form and prints a\n\
-     per-statement ingestion report; see README \"Bring your own workload\").\n\
-     --sample-rate scales sampled inputs up to population estimates;\n\
-     --strict exits non-zero when any skip or low-confidence diagnostic\n\
-     remains. --restarts runs that many independent SA chains (seeds\n\
-     seed..seed+n) over at most --threads OS threads and keeps the best;\n\
-     results depend only on (seed, restarts), not on --threads, unless\n\
-     a chain is cut off by --time-limit (flagged in the restart stats).\n\
-     --probe-levels <n> races the chains portfolio-style: after n\n\
-     temperature levels the dominated half is cut off.\n\
-     `vpart replay` is the production-rate load harness: it deploys the\n\
-     partitioning (from --partitioning — a solve-output or bare\n\
-     partitioning JSON — or a fresh seeded SA solve) as sharded row-store\n\
-     storage (each fraction row stored contiguously: the paper's\n\
-     row-store access quantum), replays a seeded stream of --txns\n\
-     weighted executions (or --rounds uniform rounds) with --threads\n\
-     workers until --duration elapses, and reports txns/sec plus the\n\
-     model error: true physical bytes vs the cost model's prediction.\n\
-     Byte meters are bit-identical across thread counts (fixed --shards\n\
-     row-range shards). The replayed stream also feeds the online\n\
-     tracker (tracker weight in the output).\n\
-     --error-bound exits non-zero when |model error| exceeds the bound.\n\
-     --skew picks the row-touch distribution inside each table\n\
-     (uniform, zipf:<theta> with 0<theta<1, or hotspot:<frac> sending\n\
-     1-frac of the traffic to the first frac of the rows); skew changes\n\
-     which rows are touched (checksum) but not byte totals.\n\
-     --fault arms deterministic fail points (comma-separated\n\
-     `point:nth=N|prob=P|once` specs, seeded from --seed): replay.pass\n\
-     crashes a pass (discarded and retried, meters bit-identical),\n\
-     migration.batch / migration.rollback / watch.resolve crash the\n\
-     watch loop's migration machinery (rolled back, retried with\n\
-     backoff, degraded after --max-retries failures).\n\
-     `vpart watch` replays comma-separated workload phases in epochs\n\
-     (--interval epochs per phase) through the online repartitioning\n\
-     loop: a streaming tracker (exponential --decay or a sliding\n\
-     --window of epochs) snapshots the drifting mix, the incumbent is\n\
-     re-scored each epoch, a warm re-solve runs when its objective-(6)\n\
-     regression over a fresh bound exceeds --drift-threshold, and the\n\
-     resulting migration plan is applied on a --rows rows/fragment\n\
-     deployment whose byte meter must equal the plan estimate exactly.\n\
-     Migrations are batched (--migration-batch-bytes caps the install\n\
-     bytes per batch) through a write-ahead journal; re-solves wait for\n\
-     --hysteresis consecutive triggered epochs, --amortize-epochs vetoes\n\
-     plans whose movement cost exceeds the projected savings horizon,\n\
-     and failed migrations roll back and retry with exponential backoff\n\
-     until --max-retries is exhausted, after which the watcher serves\n\
-     the incumbent in degraded mode (exit code 1 if still degraded at\n\
-     the end of the run).\n\
-     Live health (watch and replay): --health-out writes a combined\n\
-     time-series + alert snapshot (JSON, rewritten each epoch/pass) from\n\
-     a fixed-capacity sample ring ticked on the run's logical clock;\n\
-     built-in rules watch SA acceptance collapse, model error out of\n\
-     bound, degraded-mode entry and migration retry build-up, and\n\
-     --rules <file> swaps in declarative JSON rules (threshold /\n\
-     rate-of-change / absence with for_ticks hysteresis). --alerts-exit\n\
-     exits non-zero while a critical alert is still firing.\n\
-     --flight-dir arms the crash flight recorder: the last trace records\n\
-     ride in a bounded ring and are dumped as flight_<point>.jsonl when\n\
-     a fault point trips or the process panics. `vpart monitor` renders\n\
-     the alert timeline of a recorded trace (bit-identical to the\n\
-     snapshot's transition history), re-evaluates rules over the sample\n\
-     ring (--metrics <health.json> or rebuilt from epoch spans), and\n\
-     with --follow tails the trace file printing alert edges as they\n\
-     land; `vpart inspect ... --health <file>` merges the snapshot's\n\
-     degraded-epoch and alert history into the inspection report.\n\
-     Observability: --trace-out records a structured span/event trace\n\
-     (JSONL; per-chain annealing spans, per-epoch watch spans) and\n\
-     --metrics-out a Prometheus-style text exposition (sa_moves_total,\n\
-     sa_acceptance_ratio, solve_wall_seconds, watch_epochs_total,\n\
-     engine_migration_bytes_total, ...). Both are off by default and\n\
-     `vpart inspect <trace.jsonl>` renders a recorded trace as a\n\
-     per-chain convergence table and an epoch timeline;\n\
-     `vpart inspect --journal <file>` summarizes a migration journal\n\
-     (boundary, byte meters, rollback state) and detects corruption\n\
-     (checksum mismatch, truncation, illegal record sequences).\n\
-     Defaults: p = 8 (paper), lambda = 0.9 (see DESIGN.md on the\n\
-     paper's λ), algo = sa, restarts = 1, threads = 1,\n\
-     stats-format = pgss-csv; watch: interval = 2, decay = 0.5,\n\
-     drift-threshold = 0.05, rows = 64, restarts = 4, threads = 4,\n\
-     hysteresis = 1, amortize-epochs = 0 (off), max-retries = 3,\n\
-     migration-batch-bytes = unlimited; replay: threads = 4,\n\
-     shards = 32, rows = 256, txns = 1000, duration = 0 (one\n\
-     deterministic pass), seed = 42, skew = uniform."
+/// Every declared argument, one row each: the group declaring it (shared
+/// groups are named for what they do), its name (`<name>`: positional),
+/// its metavar (`-`: a switch) and its default (`-`: none), which is
+/// parsed like a user's value when the flag is absent.
+const FLAGS: &str = "
+instance  instance               <name|file.json>                       -
+workload  schema                 <ddl.sql>                              -
+workload  log                    <queries.log>                          -
+workload  stats                  <dump>                                 -
+workload  stats-format           <pgss-csv|pgss-json|perf-schema>       pgss-csv
+workload  text-width             <bytes>                                64
+workload  default-rows           <n>                                    1
+workload  sample-rate            <f>                                    1
+workload  confidence-min         <n>                                    10
+workload  lenient                -                                      -
+name      name                   <s>                                    -
+ingest    out                    <file.json>                            -
+ingest    strict                 -                                      -
+cost      sites                  <k>                                    2
+cost      p                      <f>                                    8
+cost      lambda                 <f>                                    0.9
+solve     algo                   <qp|sa|exact>                          sa
+solve     disjoint               -                                      -
+solve     restarts               <n>                                    1
+solve     threads                <n>                                    1
+solve     probe-levels           <n>                                    0
+solve     time-limit             <secs>                                 300
+solve     layout                 -                                      -
+replay    partitioning           <part.json>                            -
+replay    threads                <n>                                    4
+replay    shards                 <n>                                    32
+replay    rows                   <n>                                    256
+replay    txns                   <n>                                    1000
+replay    rounds                 <n>                                    -
+replay    duration               <secs>                                 0
+replay    seed                   <n>                                    42
+replay    skew                   <uniform|zipf:<theta>|hotspot:<frac>>  uniform
+replay    error-bound            <f>                                    -
+watch     interval               <epochs>                               2
+watch     decay                  <f>                                    0.5
+watch     window                 <n>                                    -
+watch     drift-threshold        <f>                                    0.05
+watch     rows                   <n>                                    64
+watch     restarts               <n>                                    4
+watch     threads                <n>                                    4
+watch     hysteresis             <epochs>                               1
+watch     amortize-epochs        <n>                                    0
+watch     max-retries            <n>                                    3
+watch     migration-batch-bytes  <B>                                    inf
+sa-seed   seed                   <n>                                    12648430
+fault     fault                  <point:trigger,...>                    -
+inspect   <trace>                <trace.jsonl>                          -
+inspect   journal                <journal.jsonl>                        -
+inspect   health                 <health.json>                          -
+monitor   <trace>                <trace.jsonl>                          -
+monitor   follow                 -                                      -
+monitor   poll-ms                <n>                                    500
+monitor   max-polls              <n>                                    0
+monitor   metrics                <health.json>                          -
+trace     trace-out              <file.jsonl>                           -
+trace     metrics-out            <file.prom>                            -
+health    health-out             <file.json>                            -
+health    alerts-exit            -                                      -
+rules     rules                  <rules.json>                           -
+flight    flight-dir             <dir>                                  -
+json      json                   -                                      -
+";
+
+/// One row of [`FLAGS`].
+struct Flag {
+    group: &'static str,
+    name: &'static str,
+    positional: bool,
+    metavar: Option<&'static str>,
+    default: Option<&'static str>,
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("unexpected argument {:?}", args[i]))?;
-        match key {
-            "disjoint" | "layout" | "json" | "lenient" | "strict" | "follow" | "alerts-exit" => {
-                flags.insert(key.to_owned(), "true".to_owned());
-                i += 1;
-            }
-            _ => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--{key} needs a value"))?;
-                flags.insert(key.to_owned(), value.clone());
-                i += 2;
-            }
+fn flag_rows() -> impl Iterator<Item = Flag> {
+    FLAGS.lines().filter(|l| !l.is_empty()).map(|line| {
+        let cols: Vec<&'static str> = line.split_whitespace().collect();
+        let given = |i: usize| cols.get(i).copied().filter(|&c| c != "-");
+        let bare = cols[1].strip_prefix('<').and_then(|n| n.strip_suffix('>'));
+        Flag {
+            group: cols[0],
+            name: bare.unwrap_or(cols[1]),
+            positional: bare.is_some(),
+            metavar: given(2),
+            default: given(3),
         }
-    }
-    Ok(flags)
+    })
 }
 
-fn get<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for --{key}: {v:?}")),
+/// A subcommand: its name, the [`FLAGS`] groups it declares besides its
+/// own (the group named after it), and its body.
+struct Command {
+    name: &'static str,
+    groups: &'static str,
+    run: Run,
+}
+
+type Run = fn(&Args) -> Result<(), String>;
+
+const fn cmd(name: &'static str, groups: &'static str, run: Run) -> Command {
+    Command { name, groups, run }
+}
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    cmd("list",    "json",                                                        cmd_list),
+    cmd("ingest",  "workload name json",                                          cmd_ingest),
+    cmd("solve",   "instance workload name cost sa-seed trace json",              cmd_solve),
+    cmd("replay",  "instance workload name cost fault trace health rules flight json", cmd_replay),
+    cmd("watch",   "workload cost sa-seed fault trace health rules flight json",  cmd_watch),
+    cmd("inspect", "",                                                            cmd_inspect),
+    cmd("monitor", "rules json",                                                  cmd_monitor),
+];
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = Flag> + '_ {
+        let declared = |g: &str| g == self.name || self.groups.split(' ').any(|own| own == g);
+        flag_rows().filter(move |f| declared(f.group))
+    }
+
+    /// `lead`, then every declared argument with its default in
+    /// parentheses.
+    fn synopsis(&self, lead: &str) -> String {
+        let args = self
+            .flags()
+            .map(|f| match (f.positional, f.metavar, f.default) {
+                (true, metavar, _) => metavar.unwrap_or_default().to_owned(),
+                (false, None, _) => format!("[--{}]", f.name),
+                (false, Some(metavar), None) => format!("[--{} {metavar}]", f.name),
+                (false, Some(metavar), Some(default)) => {
+                    format!("[--{} {metavar} ({default})]", f.name)
+                }
+            });
+        wrap(lead, args)
+    }
+
+    /// An argument error: `msg`, then this command's usage.
+    fn usage_error(&self, msg: &str) -> String {
+        let usage = self.synopsis(&format!("usage: vpart {} ", self.name));
+        format!("{msg}\n{}", usage.trim_end())
     }
 }
 
-fn ingest_options(flags: &HashMap<String, String>) -> Result<IngestOptions, String> {
-    let defaults = IngestOptions::default();
+/// Greedily fills 80-column lines with `words`, the first line led by
+/// `lead` and the rest indented to its width.
+fn wrap(lead: &str, words: impl IntoIterator<Item = String>) -> String {
+    let indent = " ".repeat(lead.len());
+    let (mut out, mut line) = (String::new(), lead.to_owned());
+    for word in words {
+        if line.len() > indent.len() && line.chars().count() + word.chars().count() > 80 {
+            out += line.trim_end();
+            out.push('\n');
+            line = indent.clone();
+        }
+        line += &word;
+        line.push(' ');
+    }
+    out + line.trim_end() + "\n"
+}
+
+/// A command's arguments as given, read back through its declarations.
+struct Args {
+    cmd: &'static Command,
+    given: HashMap<&'static str, String>,
+}
+
+impl Args {
+    /// Binds `argv` to `cmd`'s declarations. Undeclared flags, stray
+    /// arguments and a valued flag followed by another `--flag` are
+    /// errors; a repeated flag keeps its last value.
+    fn parse(cmd: &'static Command, argv: &[String]) -> Result<Self, String> {
+        let mut given = HashMap::new();
+        let mut tokens = argv.iter();
+        while let Some(token) = tokens.next() {
+            let Some(key) = token.strip_prefix("--") else {
+                let slot = cmd
+                    .flags()
+                    .find(|f| f.positional && !given.contains_key(f.name))
+                    .ok_or_else(|| cmd.usage_error(&format!("unexpected argument {token:?}")))?;
+                given.insert(slot.name, token.clone());
+                continue;
+            };
+            let flag = cmd
+                .flags()
+                .find(|f| f.name == key && !f.positional)
+                .ok_or_else(|| {
+                    cmd.usage_error(&format!("unknown flag --{key} for `vpart {}`", cmd.name))
+                })?;
+            let value = match flag.metavar {
+                None => String::new(),
+                Some(_) => match tokens.next() {
+                    Some(v) if !v.starts_with("--") => v.clone(),
+                    _ => return Err(format!("--{key} needs a value")),
+                },
+            };
+            given.insert(flag.name, value);
+        }
+        Ok(Self { cmd, given })
+    }
+
+    /// Whether `name` was given on the command line.
+    fn has(&self, name: &str) -> bool {
+        self.given.contains_key(name)
+    }
+
+    /// The given value of `name`, else its declared default.
+    fn value(&self, name: &str) -> Option<&str> {
+        let flag = (self.cmd.flags().find(|f| f.name == name))
+            .unwrap_or_else(|| panic!("vpart {} reads undeclared --{name}", self.cmd.name));
+        self.given.get(name).map(String::as_str).or(flag.default)
+    }
+
+    /// [`value`](Self::value) parsed as `T`; `None` when there is none.
+    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("invalid value for --{name}: {v:?}"))
+        };
+        self.value(name).map(parse).transpose()
+    }
+
+    /// [`opt`](Self::opt) of a flag that has a value or a default.
+    fn get<T: FromStr>(&self, name: &str) -> Result<T, String> {
+        self.opt(name)?
+            .ok_or_else(|| format!("--{name} is required"))
+    }
+}
+
+/// The full help: every command's generated synopsis, then the prose.
+fn usage() -> String {
+    let mut out = String::from(
+        "vpart — vertical partitioning advisor for OLTP workloads\n\n\
+         USAGE (defaults in parentheses; unknown flags are rejected):\n",
+    );
+    for cmd in COMMANDS {
+        out += &cmd.synopsis(&format!("  vpart {:<8} ", cmd.name));
+    }
+    for paragraph in ABOUT.split("\n\n") {
+        out += "\n";
+        out += &wrap("", paragraph.split_whitespace().map(str::to_owned));
+    }
+    out.trim_end().to_owned()
+}
+
+/// The prose half of `vpart help`, one paragraph per blank line,
+/// re-wrapped to 80 columns when printed.
+const ABOUT: &str = "\
+Instances: `tpcc`, any rnd class name (e.g. rndAt8x15, rndBt16x100u50), a JSON instance file, a SQL
+schema + query log via --schema/--log, or a schema + statistics dump (pg_stat_statements CSV/JSON,
+MySQL performance_schema digest CSV/TSV) via --schema/--stats (`vpart ingest` converts either into
+the JSON form and prints a per-statement ingestion report; see README \"Bring your own workload\").
+--sample-rate scales sampled inputs up to population estimates; --strict exits non-zero when any
+skip or low-confidence diagnostic remains. --restarts runs that many independent SA chains (seeds
+seed..seed+n) over at most --threads OS threads and keeps the best; results depend only on (seed,
+restarts), not on --threads, unless a chain is cut off by --time-limit (flagged in the restart
+stats). --probe-levels <n> races the chains portfolio-style: after n temperature levels the
+dominated half is cut off.
+
+`vpart replay` is the production-rate load harness: it deploys the partitioning (from --partitioning
+— a solve-output or bare partitioning JSON — or a fresh seeded SA solve) as sharded row-store
+storage (each fraction row stored contiguously: the paper's row-store access quantum), replays a
+seeded stream of --txns weighted executions (or --rounds uniform rounds) with --threads workers
+until --duration elapses, and reports txns/sec plus the model error: true physical bytes vs the cost
+model's prediction. Byte meters are bit-identical across thread counts (fixed --shards row-range
+shards). The replayed stream also feeds the online tracker (tracker weight in the output).
+--error-bound exits non-zero when |model error| exceeds the bound. --skew picks the row-touch
+distribution inside each table (uniform, zipf:<theta> with 0<theta<1, or hotspot:<frac> sending
+1-frac of the traffic to the first frac of the rows); skew changes which rows are touched (checksum)
+but not byte totals. --fault arms deterministic fail points (comma-separated
+`point:nth=N|prob=P|once` specs, seeded from --seed): replay.pass crashes a pass (discarded and
+retried, meters bit-identical), migration.batch / migration.rollback / watch.resolve crash the watch
+loop's migration machinery (rolled back, retried with backoff, degraded after --max-retries
+failures).
+
+`vpart watch` replays comma-separated workload phases in epochs (--interval epochs per phase)
+through the online repartitioning loop: a streaming tracker (exponential --decay or a sliding
+--window of epochs) snapshots the drifting mix, the incumbent is re-scored each epoch, a warm
+re-solve runs when its objective-(6) regression over a fresh bound exceeds --drift-threshold, and
+the resulting migration plan is applied on a --rows rows/fragment deployment whose byte meter must
+equal the plan estimate exactly. Migrations are batched (--migration-batch-bytes caps the install
+bytes per batch) through a write-ahead journal; re-solves wait for --hysteresis consecutive
+triggered epochs, --amortize-epochs vetoes plans whose movement cost exceeds the projected savings
+horizon (0 = off), and failed migrations roll back and retry with exponential backoff until
+--max-retries is exhausted, after which the watcher serves the incumbent in degraded mode (exit code
+1 if still degraded at the end of the run).
+
+Live health (watch and replay): --health-out writes a combined time-series + alert snapshot (JSON,
+rewritten each epoch/pass) from a fixed-capacity sample ring ticked on the run's logical clock;
+built-in rules watch SA acceptance collapse, model error out of bound, degraded-mode entry and
+migration retry build-up, and --rules <file> swaps in declarative JSON rules (threshold /
+rate-of-change / absence with for_ticks hysteresis). --alerts-exit exits non-zero while a critical
+alert is still firing. --flight-dir arms the crash flight recorder: the last trace records ride in a
+bounded ring and are dumped as flight_<point>.jsonl when a fault point trips or the process panics.
+`vpart monitor` renders the alert timeline of a recorded trace (bit-identical to the snapshot's
+transition history), re-evaluates rules over the sample ring (--metrics <health.json> or rebuilt
+from epoch spans), and with --follow tails the trace file printing alert edges as they land; `vpart
+inspect ... --health <file>` merges the snapshot's degraded-epoch and alert history into the
+inspection report.
+
+Observability: --trace-out records a structured span/event trace (JSONL; per-chain annealing spans,
+per-epoch watch spans) and --metrics-out a Prometheus-style text exposition (sa_moves_total,
+sa_acceptance_ratio, solve_wall_seconds, watch_epochs_total, engine_migration_bytes_total, ...).
+Both are off by default and `vpart inspect <trace.jsonl>` renders a recorded trace as a per-chain
+convergence table and an epoch timeline; `vpart inspect --journal <file>` summarizes a migration
+journal (boundary, byte meters, rollback state) and detects corruption (checksum mismatch,
+truncation, illegal record sequences).";
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+fn ingest_options(a: &Args) -> Result<IngestOptions, String> {
     let mut opts = IngestOptions::default()
-        .with_text_width(get(flags, "text-width", defaults.text_width)?)
-        .with_default_rows(get(flags, "default-rows", defaults.default_rows)?)
-        .with_sample_rate(get(flags, "sample-rate", defaults.sample_rate)?)
-        .with_confidence_min_calls(get(flags, "confidence-min", defaults.confidence_min_calls)?);
-    if let Some(name) = flags.get("name") {
-        opts = opts.with_name(name.clone());
-    }
-    if flags.contains_key("lenient") {
+        .with_text_width(a.get("text-width")?)
+        .with_default_rows(a.get("default-rows")?)
+        .with_sample_rate(a.get("sample-rate")?)
+        .with_confidence_min_calls(a.get("confidence-min")?);
+    if a.has("lenient") {
         opts = opts.lenient();
     }
     Ok(opts)
 }
 
-/// Ingests `--schema` plus either `--log` or `--stats`/`--stats-format`
-/// per the shared flag conventions (the name defaults to the schema path;
-/// `--lenient`/`--text-width`/`--sample-rate` apply).
-fn run_ingest(flags: &HashMap<String, String>) -> Result<vpart::ingest::Ingestion, String> {
-    let schema_path = flags
-        .get("schema")
-        .ok_or_else(|| "--schema is required".to_owned())?;
-    let schema_sql = std::fs::read_to_string(schema_path)
-        .map_err(|e| format!("cannot read {schema_path}: {e}"))?;
-    let mut opts = ingest_options(flags)?;
-    if !flags.contains_key("name") {
-        opts = opts.with_name(schema_path.clone());
-    }
-    match (flags.get("log"), flags.get("stats")) {
+/// The workload source: `--log`, or `--stats` read as `--stats-format`
+/// (`None` for a log), with its path (comma-separated phases for watch).
+fn workload_source(a: &Args) -> Result<(Option<StatsFormat>, &str), String> {
+    match (a.value("log"), a.value("stats")) {
         (Some(_), Some(_)) => Err("--log and --stats are mutually exclusive".to_owned()),
-        (Some(log_path), None) => {
-            let log = std::fs::read_to_string(log_path)
-                .map_err(|e| format!("cannot read {log_path}: {e}"))?;
-            vpart::ingest::ingest(&schema_sql, &log, &opts).map_err(|e| e.to_string())
-        }
-        (None, Some(stats_path)) => {
-            let format_name = flags.get("stats-format").map(String::as_str);
-            let format = match format_name {
-                None => StatsFormat::PgssCsv,
-                Some(name) => StatsFormat::parse(name).ok_or_else(|| {
-                    format!("unknown --stats-format {name:?} (pgss-csv|pgss-json|perf-schema)")
-                })?,
-            };
-            let dump = std::fs::read_to_string(stats_path)
-                .map_err(|e| format!("cannot read {stats_path}: {e}"))?;
-            vpart::ingest::ingest_stats(&schema_sql, &dump, format, &opts)
-                .map_err(|e| e.to_string())
+        (Some(log), None) => Ok((None, log)),
+        (None, Some(stats)) => {
+            let name = a.value("stats-format").unwrap_or_default();
+            let format = StatsFormat::parse(name).ok_or_else(|| {
+                format!("unknown --stats-format {name:?} (pgss-csv|pgss-json|perf-schema)")
+            })?;
+            Ok((Some(format), stats))
         }
         (None, None) => Err("--schema also needs --log or --stats".to_owned()),
     }
 }
 
-/// Ingests for `solve`, printing the loss/confidence report to stderr.
-fn ingest_from_flags(flags: &HashMap<String, String>) -> Result<Instance, String> {
-    let out = run_ingest(flags)?;
-    if !out.report.is_lossless() || out.report.has_diagnostics() {
-        eprint!("{}", out.report);
+/// Ingests workload `text`: a query log, or a statistics dump in `format`.
+fn ingest_text(
+    schema_sql: &str,
+    text: &str,
+    format: Option<StatsFormat>,
+    opts: &IngestOptions,
+) -> Result<Ingestion, IngestError> {
+    match format {
+        Some(format) => vpart::ingest::ingest_stats(schema_sql, text, format, opts),
+        None => vpart::ingest::ingest(schema_sql, text, opts),
     }
-    Ok(out.instance)
 }
 
-fn load_instance(flags: &HashMap<String, String>) -> Result<Instance, String> {
-    if flags.contains_key("schema") {
-        return ingest_from_flags(flags);
-    }
-    let name = flags
-        .get("instance")
-        .ok_or_else(|| "--instance (or --schema/--log) is required".to_owned())?;
+/// Ingests `--schema` plus either `--log` or `--stats`/`--stats-format`
+/// per the shared flag conventions (the name defaults to the schema path;
+/// `--lenient`/`--text-width`/`--sample-rate` apply).
+fn run_ingest(a: &Args) -> Result<Ingestion, String> {
+    let schema_path: String = a.get("schema")?;
+    let schema_sql = read(&schema_path)?;
+    let (format, path) = workload_source(a)?;
+    let opts = ingest_options(a)?.with_name(a.value("name").unwrap_or(&schema_path));
+    ingest_text(&schema_sql, &read(path)?, format, &opts).map_err(|e| e.to_string())
+}
+
+fn load_instance(a: &Args) -> Result<Instance, String> {
+    let name = match (a.value("instance"), a.has("schema")) {
+        (Some(_), true) => return Err("--instance and --schema are mutually exclusive".to_owned()),
+        (None, true) => return run_ingest(a).map(report_losses),
+        (Some(name), false) => name,
+        (None, false) => return Err("--instance (or --schema/--log) is required".to_owned()),
+    };
     if let Some(ins) = vpart::instances::by_name(name) {
         return Ok(ins);
     }
     // Fall back to an instance JSON file (the `vpart ingest --out` format).
-    if std::path::Path::new(name).exists() {
-        let json = std::fs::read_to_string(name).map_err(|e| format!("cannot read {name}: {e}"))?;
-        return serde_json::from_str(&json)
+    if Path::new(name).exists() {
+        return serde_json::from_str(&read(name)?)
             .map_err(|e| format!("{name} is not a valid instance file: {e}"));
     }
     Err(format!(
@@ -292,57 +401,46 @@ fn load_instance(flags: &HashMap<String, String>) -> Result<Instance, String> {
     ))
 }
 
+/// Whether any flag of the [`FLAGS`] `groups` was given.
+fn given_any(a: &Args, groups: &[&str]) -> bool {
+    flag_rows().any(|f| groups.contains(&f.group) && a.has(f.name))
+}
+
 /// An enabled [`Obs`] handle when any observability sink was requested
-/// (`--trace-out`, `--metrics-out`, `--health-out`, `--alerts-exit`,
-/// `--rules`, `--flight-dir`), else the inert disabled handle (zero
-/// hot-path cost).
-fn obs_from_flags(flags: &HashMap<String, String>) -> Obs {
-    let sinks = [
-        "trace-out",
-        "metrics-out",
-        "health-out",
-        "alerts-exit",
-        "rules",
-        "flight-dir",
-    ];
-    if sinks.iter().any(|k| flags.contains_key(*k)) {
+/// (a `trace`, `health`, `rules` or `flight` flag), else the inert
+/// disabled handle (zero hot-path cost).
+fn obs_from_flags(a: &Args) -> Obs {
+    if given_any(a, &["trace", "health", "rules", "flight"]) {
         Obs::enabled()
     } else {
         Obs::disabled()
     }
 }
 
-/// A [`HealthMonitor`] when a health flag (`--health-out`,
-/// `--alerts-exit`, `--rules`) was given. `--rules FILE` replaces the
-/// built-in rule set with declarative rules parsed from JSON.
-fn health_from_flags(flags: &HashMap<String, String>) -> Result<Option<HealthMonitor>, String> {
-    let wanted = ["health-out", "alerts-exit", "rules"];
-    if !wanted.iter().any(|k| flags.contains_key(*k)) {
+/// A [`HealthMonitor`] when a `health` or `rules` flag was given.
+fn health_from_flags(a: &Args) -> Result<Option<HealthMonitor>, String> {
+    if !given_any(a, &["health", "rules"]) {
         return Ok(None);
     }
-    let monitor = match flags.get("rules") {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let rules = vpart::obs::rules_from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            HealthMonitor::new(vpart::obs::DEFAULT_HEALTH_CAPACITY, rules)?
-        }
-        None => HealthMonitor::with_builtin_rules(vpart::obs::DEFAULT_HEALTH_CAPACITY),
-    };
-    Ok(Some(monitor))
+    HealthMonitor::new(vpart::obs::DEFAULT_HEALTH_CAPACITY, rules_from_flags(a)?).map(Some)
+}
+
+/// The `--rules FILE` alert rules (declarative JSON), else the built-ins.
+fn rules_from_flags(a: &Args) -> Result<Vec<vpart::obs::AlertRule>, String> {
+    match a.value("rules") {
+        Some(p) => vpart::obs::rules_from_json(&read(p)?).map_err(|e| format!("{p}: {e}")),
+        None => Ok(vpart::obs::builtin_rules()),
+    }
 }
 
 /// Arms the crash flight recorder when `--flight-dir` was given: the
 /// most recent trace records ride in a bounded in-memory ring and are
 /// dumped as `<dir>/flight_<point>.jsonl` when a fault point trips or
 /// the process panics.
-fn arm_flight_from_flags(obs: &Obs, flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(dir) = flags.get("flight-dir") {
+fn arm_flight_from_flags(obs: &Obs, a: &Args) -> Result<(), String> {
+    if let Some(dir) = a.value("flight-dir") {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-        obs.arm_flight(
-            std::path::Path::new(dir),
-            vpart::obs::DEFAULT_FLIGHT_CAPACITY,
-        );
+        obs.arm_flight(Path::new(dir), vpart::obs::DEFAULT_FLIGHT_CAPACITY);
         obs.install_flight_panic_hook();
     }
     Ok(())
@@ -350,12 +448,9 @@ fn arm_flight_from_flags(obs: &Obs, flags: &HashMap<String, String>) -> Result<(
 
 /// Writes the `--health-out` snapshot. Called once per tick so the file
 /// on disk is fresh even if the run dies mid-way.
-fn write_health_snapshot(
-    health: Option<&HealthMonitor>,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    if let (Some(path), Some(h)) = (flags.get("health-out"), health) {
-        h.write_snapshot(std::path::Path::new(path))
+fn write_health_snapshot(health: Option<&HealthMonitor>, a: &Args) -> Result<(), String> {
+    if let (Some(path), Some(h)) = (a.value("health-out"), health) {
+        h.write_snapshot(Path::new(path))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     Ok(())
@@ -363,63 +458,60 @@ fn write_health_snapshot(
 
 /// The `--alerts-exit` gate: non-zero exit when any critical rule is
 /// still firing at the end of the run.
-fn alerts_exit_check(
-    health: Option<&HealthMonitor>,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    if !flags.contains_key("alerts-exit") {
-        return Ok(());
-    }
-    let Some(h) = health else {
+fn alerts_exit_check(health: Option<&HealthMonitor>, a: &Args) -> Result<(), String> {
+    let firing = health.filter(|h| a.has("alerts-exit") && h.any_critical_firing());
+    let Some(h) = firing else {
         return Ok(());
     };
-    if h.any_critical_firing() {
-        let rules: Vec<String> = h
-            .alerts()
-            .firing()
-            .iter()
-            .filter(|(r, _)| r.severity == vpart::obs::Severity::Critical)
-            .map(|(r, since)| format!("{} (since tick {since})", r.name))
-            .collect();
-        return Err(format!(
-            "--alerts-exit: critical alert(s) still firing: {}",
-            rules.join(", ")
-        ));
-    }
-    Ok(())
+    let rules: Vec<String> = h
+        .alerts()
+        .firing()
+        .iter()
+        .filter(|(r, _)| r.severity == vpart::obs::Severity::Critical)
+        .map(|(r, since)| format!("{} (since tick {since})", r.name))
+        .collect();
+    let rules = rules.join(", ");
+    Err(format!(
+        "--alerts-exit: critical alert(s) still firing: {rules}"
+    ))
 }
 
-/// Writes the recorded trace / metrics exposition to the `--trace-out` /
-/// `--metrics-out` paths. Notices go to stderr so `--json` stdout stays
-/// machine-parseable.
-fn write_obs_outputs(obs: &Obs, flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(path) = flags.get("trace-out") {
-        obs.write_trace(std::path::Path::new(path))
+/// Writes the `--trace-out` trace and `--metrics-out` exposition, then
+/// names every written file (`--health-out` too) on stderr, so `--json`
+/// stdout stays machine-parseable.
+fn write_obs_outputs(obs: &Obs, a: &Args) -> Result<(), String> {
+    if let Some(path) = a.value("trace-out") {
+        obs.write_trace(Path::new(path))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote trace {path}");
     }
-    if let Some(path) = flags.get("metrics-out") {
-        obs.write_metrics(std::path::Path::new(path))
+    if let Some(path) = a.value("metrics-out") {
+        obs.write_metrics(Path::new(path))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote metrics {path}");
+    }
+    if let Some(path) = a.given.get("health-out") {
+        eprintln!("wrote health snapshot {path}");
     }
     Ok(())
 }
 
-fn cost_config(flags: &HashMap<String, String>) -> Result<CostConfig, String> {
+fn cost_config(a: &Args) -> Result<CostConfig, String> {
     let cfg = CostConfig::default()
-        .with_p(get(flags, "p", 8.0)?)
-        .with_lambda(get(flags, "lambda", 0.9)?);
+        .with_p(a.get("p")?)
+        .with_lambda(a.get("lambda")?);
     cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
 }
 
-fn cmd_list(flags: HashMap<String, String>) -> Result<(), String> {
-    if flags.contains_key("json") {
-        let entries: Vec<serde_json::Value> = vpart::instances::names()
-            .into_iter()
-            .map(|name| {
-                let ins = vpart::instances::by_name(name).expect("catalog name resolves");
+fn cmd_list(a: &Args) -> Result<(), String> {
+    let catalog = vpart::instances::names().into_iter().map(|name| {
+        let ins = vpart::instances::by_name(name).expect("catalog name resolves");
+        (name, ins)
+    });
+    if a.has("json") {
+        let entries: Vec<serde_json::Value> = catalog
+            .map(|(name, ins)| {
                 serde_json::json!({
                     "name": name,
                     "attrs": ins.n_attrs(),
@@ -432,8 +524,7 @@ fn cmd_list(flags: HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
     println!("available instances:");
-    for name in vpart::instances::names() {
-        let ins = vpart::instances::by_name(name).expect("catalog name resolves");
+    for (name, ins) in catalog {
         println!(
             "  {name:<16} |A| = {:<5} |T| = {:<4} tables = {}",
             ins.n_attrs(),
@@ -444,17 +535,17 @@ fn cmd_list(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_ingest(flags: HashMap<String, String>) -> Result<(), String> {
-    let out = run_ingest(&flags)?;
+fn cmd_ingest(a: &Args) -> Result<(), String> {
+    let out = run_ingest(a)?;
     let json = serde_json::to_string_pretty(&out.instance).map_err(|e| e.to_string())?;
-    match flags.get("out") {
+    match a.value("out") {
         Some(path) => {
             std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
         None => println!("{json}"),
     }
-    if flags.contains_key("json") {
+    if a.has("json") {
         let r = &out.report;
         let confidence: Vec<serde_json::Value> = r
             .confidence
@@ -491,7 +582,7 @@ fn cmd_ingest(flags: HashMap<String, String>) -> Result<(), String> {
     } else {
         eprint!("{}", out.report);
     }
-    if flags.contains_key("strict") && out.report.has_diagnostics() {
+    if a.has("strict") && out.report.has_diagnostics() {
         return Err(format!(
             "--strict: ingestion left {} skipped statement(s) and {} low-confidence \
              template(s)",
@@ -502,25 +593,30 @@ fn cmd_ingest(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
-    let ins = load_instance(&flags)?;
-    let sites: usize = get(&flags, "sites", 2)?;
-    let cost = cost_config(&flags)?;
-    let seed: u64 = get(&flags, "seed", 0xC0FFEE)?;
-    let time_limit: f64 = get(&flags, "time-limit", 300.0)?;
+fn cmd_solve(a: &Args) -> Result<(), String> {
+    let ins = load_instance(a)?;
+    let sites: usize = a.get("sites")?;
+    let cost = cost_config(a)?;
+    let time_limit: f64 = a.get("time-limit")?;
     if time_limit.is_nan() || time_limit <= 0.0 || !time_limit.is_finite() {
         return Err(format!(
             "--time-limit must be a positive number of seconds, got {time_limit}"
         ));
     }
-    let restarts: usize = get(&flags, "restarts", 1)?;
-    let threads: usize = get(&flags, "threads", 1)?;
-    let probe_levels: usize = get(&flags, "probe-levels", 0)?;
-    let algo_name = flags.get("algo").map(String::as_str).unwrap_or("sa");
-    let disjoint = flags.contains_key("disjoint");
-    let obs = obs_from_flags(&flags);
+    let algo_name: String = a.get("algo")?;
+    let disjoint = a.has("disjoint");
+    let obs = obs_from_flags(a);
+    let sa = SaConfig {
+        seed: a.get("seed")?,
+        time_limit: std::time::Duration::from_secs_f64(time_limit),
+        restarts: a.get("restarts")?,
+        threads: a.get("threads")?,
+        probe_levels: Some(a.get("probe-levels")?).filter(|&n| n > 0),
+        obs: obs.clone(),
+        ..Default::default()
+    };
 
-    let algorithm = match algo_name {
+    let algorithm = match algo_name.as_str() {
         "qp" => {
             let mut qc = QpConfig::with_time_limit(time_limit);
             if disjoint {
@@ -533,15 +629,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
             if disjoint {
                 return Err("--disjoint requires --algo qp".into());
             }
-            Algorithm::Sa(SaConfig {
-                seed,
-                time_limit: std::time::Duration::from_secs_f64(time_limit),
-                restarts,
-                threads,
-                probe_levels: (probe_levels > 0).then_some(probe_levels),
-                obs: obs.clone(),
-                ..Default::default()
-            })
+            Algorithm::Sa(sa)
         }
         // The exhaustive solver is tiny-instance ground truth; it stays
         // uninstrumented and --trace-out records an empty trace for it.
@@ -552,9 +640,9 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
     let single = Partitioning::single_site(&ins, 1).map_err(|e| e.to_string())?;
     let baseline = evaluate(&ins, &single, &cost).objective4;
     let r = vpart::solve(&ins, sites, &algorithm, &cost).map_err(|e| e.to_string())?;
-    write_obs_outputs(&obs, &flags)?;
+    write_obs_outputs(&obs, a)?;
 
-    if flags.contains_key("json") {
+    if a.has("json") {
         let restart_stats: Vec<serde_json::Value> = r
             .restarts
             .iter()
@@ -645,7 +733,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
             );
         }
     }
-    if flags.contains_key("layout") {
+    if a.has("layout") {
         println!("\n{}", report::render_partitioning(&ins, &r.partitioning));
     } else {
         println!("\n{}", report::render_summary(&ins, &r.partitioning));
@@ -656,9 +744,8 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
 /// Loads `--partitioning`: either a bare [`Partitioning`] JSON or a
 /// `vpart solve --json` output (its `partitioning` field).
 fn load_partitioning(path: &str, ins: &Instance) -> Result<Partitioning, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let value: serde_json::Value =
-        serde_json::from_str(&json).map_err(|e| format!("{path} is not JSON: {e}"))?;
+        serde_json::from_str(&read(path)?).map_err(|e| format!("{path} is not JSON: {e}"))?;
     let inner = match value.get("partitioning") {
         Some(p) => p.clone(),
         None => value,
@@ -670,36 +757,28 @@ fn load_partitioning(path: &str, ins: &Instance) -> Result<Partitioning, String>
     Ok(part)
 }
 
-fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
-    use vpart::core::predicted_txn_bytes;
-    use vpart::engine::{FaultInjector, ReplayConfig, ReplayDeployment, ReplayStream, RowSkew};
-    use vpart::online::{OnlineWorkload, TrackerConfig};
-
-    let ins = load_instance(&flags)?;
-    let sites: usize = get(&flags, "sites", 2)?;
-    let seed: u64 = get(&flags, "seed", 42)?;
-    let threads: usize = get(&flags, "threads", 4)?;
-    let shards: usize = get(&flags, "shards", 32)?;
-    let rows: usize = get(&flags, "rows", 256)?;
-    let txns: usize = get(&flags, "txns", 1000)?;
-    let duration: f64 = get(&flags, "duration", 0.0)?;
+fn cmd_replay(a: &Args) -> Result<(), String> {
+    let ins = load_instance(a)?;
+    let sites: usize = a.get("sites")?;
+    let seed: u64 = a.get("seed")?;
+    let shards: usize = a.get("shards")?;
+    let rows: usize = a.get("rows")?;
+    let duration: f64 = a.get("duration")?;
     if !duration.is_finite() || duration < 0.0 {
         return Err(format!(
             "--duration must be a non-negative number of seconds, got {duration}"
         ));
     }
-    let skew = match flags.get("skew") {
-        Some(spec) => RowSkew::parse(spec).map_err(|e| e.to_string())?,
-        None => RowSkew::Uniform,
-    };
+    let skew = RowSkew::parse(&a.get::<String>("skew")?).map_err(|e| e.to_string())?;
+    let error_bound: Option<f64> = a.opt("error-bound")?;
     let mut faults = FaultInjector::new(seed);
-    if let Some(specs) = flags.get("fault") {
+    if let Some(specs) = a.value("fault") {
         faults.arm_specs(specs).map_err(|e| e.to_string())?;
     }
-    let cost = cost_config(&flags)?;
-    let obs = obs_from_flags(&flags);
+    let cost = cost_config(a)?;
+    let obs = obs_from_flags(a);
 
-    let part = match flags.get("partitioning") {
+    let part = match a.value("partitioning") {
         Some(path) => load_partitioning(path, &ins)?,
         None => {
             SaSolver::new(SaConfig {
@@ -712,9 +791,12 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
         }
     };
 
-    let stream = match flags.get("rounds") {
-        Some(_) => ReplayStream::uniform(&ins, get(&flags, "rounds", 1)?, seed),
-        None => ReplayStream::weighted(&ins, txns, seed),
+    let stream = match a.opt("rounds")? {
+        Some(_) if a.has("txns") => {
+            return Err("--txns and --rounds are mutually exclusive".to_owned())
+        }
+        Some(rounds) => ReplayStream::uniform(&ins, rounds, seed),
+        None => ReplayStream::weighted(&ins, a.get("txns")?, seed),
     };
 
     // The cost model's prediction for one pass of this stream.
@@ -724,15 +806,15 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
 
     let mut dep = ReplayDeployment::new(&ins, &part, rows, shards).map_err(|e| e.to_string())?;
     dep = dep.with_obs(obs.clone());
-    if let Some(monitor) = health_from_flags(&flags)? {
+    if let Some(monitor) = health_from_flags(a)? {
         dep = dep.with_health(monitor);
     }
-    arm_flight_from_flags(&obs, &flags)?;
+    arm_flight_from_flags(&obs, a)?;
     let report = dep
         .replay(
             &stream,
             &ReplayConfig {
-                threads,
+                threads: a.get("threads")?,
                 min_duration: std::time::Duration::from_secs_f64(duration),
                 max_passes: usize::MAX,
                 skew,
@@ -750,33 +832,27 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
         .observe_replay(&ins, &stream.executions)
         .map_err(|e| e.to_string())?;
 
-    write_obs_outputs(&obs, &flags)?;
-    write_health_snapshot(dep.health(), &flags)?;
-    if let Some(path) = flags.get("health-out") {
-        eprintln!("wrote health snapshot {path}");
-    }
+    write_health_snapshot(dep.health(), a)?;
+    write_obs_outputs(&obs, a)?;
 
     let me = report
         .model_error
         .as_ref()
         .ok_or_else(|| "replay always carries a prediction here".to_owned())?;
     let totals = report.totals();
-    if flags.contains_key("json") {
+    if a.has("json") {
         let per_site: Vec<serde_json::Value> = report
             .per_site
             .iter()
             .map(|s| serde_json::json!({"bytes_read": s.bytes_read, "bytes_written": s.bytes_written}))
             .collect();
-        let predicted_json = serde_json::json!({
-            "read": me.predicted.read,
-            "written": me.predicted.written,
-            "transferred": me.predicted.transferred,
-        });
-        let measured_json = serde_json::json!({
-            "read": me.measured.read,
-            "written": me.measured.written,
-            "transferred": me.measured.transferred,
-        });
+        let bytes_json = |b: &PredictedBytes| {
+            serde_json::json!({
+                "read": b.read,
+                "written": b.written,
+                "transferred": b.transferred,
+            })
+        };
         let error_json = serde_json::json!({
             "read": me.read_ratio,
             "write": me.write_ratio,
@@ -808,8 +884,8 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
                 "txns_replayed": report.txns_replayed,
                 "elapsed_secs": report.elapsed.as_secs_f64(),
                 "txns_per_sec": report.throughput_txns_per_sec(),
-                "predicted": predicted_json,
-                "measured": measured_json,
+                "predicted": bytes_json(&me.predicted),
+                "measured": bytes_json(&me.measured),
                 "model_error_ratio": me.overall_ratio,
                 "model_error": error_json,
                 "meter": meter_json,
@@ -867,10 +943,7 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
         );
     }
 
-    if let Some(bound) = flags.get("error-bound") {
-        let bound: f64 = bound
-            .parse()
-            .map_err(|_| format!("invalid value for --error-bound: {bound:?}"))?;
+    if let Some(bound) = error_bound {
         if !me.overall_ratio.is_finite() || me.overall_ratio.abs() > bound {
             return Err(format!(
                 "model error {:+.4} exceeds --error-bound {bound}",
@@ -878,7 +951,7 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
             ));
         }
     }
-    alerts_exit_check(dep.health(), &flags)?;
+    alerts_exit_check(dep.health(), a)?;
     Ok(())
 }
 
@@ -886,75 +959,50 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
 fn ingest_phase(
     schema_sql: &str,
     path: &str,
-    flags: &HashMap<String, String>,
+    format: Option<StatsFormat>,
+    opts: &IngestOptions,
 ) -> Result<Instance, String> {
-    let opts = ingest_options(flags)?.with_name(path.to_string());
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let out = match flags.get("stats") {
-        Some(_) => {
-            let format = match flags.get("stats-format").map(String::as_str) {
-                None => StatsFormat::PgssCsv,
-                Some(name) => StatsFormat::parse(name).ok_or_else(|| {
-                    format!("unknown --stats-format {name:?} (pgss-csv|pgss-json|perf-schema)")
-                })?,
-            };
-            vpart::ingest::ingest_stats(schema_sql, &text, format, &opts)
-        }
-        None => vpart::ingest::ingest(schema_sql, &text, &opts),
-    }
-    .map_err(|e| format!("{path}: {e}"))?;
+    let opts = opts.clone().with_name(path);
+    ingest_text(schema_sql, &read(path)?, format, &opts)
+        .map(report_losses)
+        .map_err(|e| format!("{path}: {e}"))
+}
+
+/// The ingested instance, after printing any loss or low-confidence
+/// diagnostics of its report to stderr.
+fn report_losses(out: Ingestion) -> Instance {
     if !out.report.is_lossless() || out.report.has_diagnostics() {
         eprint!("{}", out.report);
     }
-    Ok(out.instance)
+    out.instance
 }
 
-fn cmd_watch(flags: HashMap<String, String>) -> Result<(), String> {
-    use vpart::online::{DecayMode, OnlineWorkload, TrackerConfig, WatchConfig, Watcher};
+fn cmd_watch(a: &Args) -> Result<(), String> {
+    let schema_path: String = a.get("schema")?;
+    let schema_sql = read(&schema_path)?;
+    let (format, paths) = workload_source(a)?;
+    let opts = ingest_options(a)?;
 
-    let schema_path = flags
-        .get("schema")
-        .ok_or_else(|| "--schema is required".to_owned())?;
-    let schema_sql = std::fs::read_to_string(schema_path)
-        .map_err(|e| format!("cannot read {schema_path}: {e}"))?;
-    let phases: Vec<String> = match (flags.get("log"), flags.get("stats")) {
-        (Some(_), Some(_)) => return Err("--log and --stats are mutually exclusive".into()),
-        (Some(paths), None) | (None, Some(paths)) => paths.split(',').map(str::to_owned).collect(),
-        (None, None) => return Err("--schema also needs --log or --stats".into()),
-    };
-
-    let sites: usize = get(&flags, "sites", 2)?;
-    let cost = cost_config(&flags)?;
-    let seed: u64 = get(&flags, "seed", 0xC0FFEE)?;
-    let interval: usize = get(&flags, "interval", 2)?;
-    let threshold: f64 = get(&flags, "drift-threshold", 0.05)?;
-    let rows: usize = get(&flags, "rows", 64)?;
-    let restarts: usize = get(&flags, "restarts", 4)?;
-    let threads: usize = get(&flags, "threads", 4)?;
-    let hysteresis: usize = get(&flags, "hysteresis", 1)?;
-    let amortize_epochs: usize = get(&flags, "amortize-epochs", 0)?;
-    let max_retries: usize = get(&flags, "max-retries", 3)?;
-    let migration_batch_bytes: f64 = get(&flags, "migration-batch-bytes", f64::INFINITY)?;
-    let mut faults = vpart::engine::FaultInjector::new(seed);
-    if let Some(specs) = flags.get("fault") {
+    let seed: u64 = a.get("seed")?;
+    let interval: usize = a.get("interval")?;
+    let max_retries: usize = a.get("max-retries")?;
+    let mut faults = FaultInjector::new(seed);
+    if let Some(specs) = a.value("fault") {
         faults.arm_specs(specs).map_err(|e| e.to_string())?;
     }
     if interval == 0 {
         return Err("--interval must be positive".into());
     }
-    let decay = match (flags.get("decay"), flags.get("window")) {
-        (Some(_), Some(_)) => return Err("--decay and --window are mutually exclusive".into()),
-        (None, Some(_)) => DecayMode::Window {
-            epochs: get(&flags, "window", 3usize)?,
-        },
-        _ => DecayMode::Exponential {
-            factor: get(&flags, "decay", 0.5f64)?,
+    let decay = match (a.has("decay"), a.opt("window")?) {
+        (true, Some(_)) => return Err("--decay and --window are mutually exclusive".into()),
+        (false, Some(epochs)) => DecayMode::Window { epochs },
+        (_, None) => DecayMode::Exponential {
+            factor: a.get("decay")?,
         },
     };
 
     // Phase instances share the schema by construction (same DDL text).
-    let parsed = vpart::ingest::parse_schema(&schema_sql, &ingest_options(&flags)?)
-        .map_err(|e| e.to_string())?;
+    let parsed = vpart::ingest::parse_schema(&schema_sql, &opts).map_err(|e| e.to_string())?;
     let tracker = OnlineWorkload::new(
         schema_path.clone(),
         parsed.schema,
@@ -964,35 +1012,35 @@ fn cmd_watch(flags: HashMap<String, String>) -> Result<(), String> {
         },
     )
     .map_err(|e| e.to_string())?;
-    let obs = obs_from_flags(&flags);
+    let obs = obs_from_flags(a);
     let mut watcher = Watcher::new(
         tracker,
         WatchConfig {
-            sites,
-            cost,
-            drift: vpart::online::DriftConfig {
-                threshold,
+            sites: a.get("sites")?,
+            cost: cost_config(a)?,
+            drift: DriftConfig {
+                threshold: a.get("drift-threshold")?,
                 ..Default::default()
             },
             seed,
-            rows_per_fragment: rows,
-            cold_restarts: restarts,
-            threads,
-            hysteresis,
-            amortize_epochs,
+            rows_per_fragment: a.get("rows")?,
+            cold_restarts: a.get("restarts")?,
+            threads: a.get("threads")?,
+            hysteresis: a.get("hysteresis")?,
+            amortize_epochs: a.get("amortize-epochs")?,
             max_retries,
-            migration_batch_bytes,
+            migration_batch_bytes: a.get("migration-batch-bytes")?,
             faults,
             obs: obs.clone(),
         },
     )
     .map_err(|e| e.to_string())?;
-    if let Some(monitor) = health_from_flags(&flags)? {
+    if let Some(monitor) = health_from_flags(a)? {
         watcher = watcher.with_health(monitor);
     }
-    arm_flight_from_flags(&obs, &flags)?;
+    arm_flight_from_flags(&obs, a)?;
 
-    let json = flags.contains_key("json");
+    let json = a.has("json");
     let mut epochs_json: Vec<serde_json::Value> = Vec::new();
     if !json {
         println!(
@@ -1000,8 +1048,8 @@ fn cmd_watch(flags: HashMap<String, String>) -> Result<(), String> {
             "epoch", "phase", "score", "incumbent", "bound", "action", "moved-bytes"
         );
     }
-    for phase_path in &phases {
-        let phase = ingest_phase(&schema_sql, phase_path, &flags)?;
+    for phase_path in paths.split(',') {
+        let phase = ingest_phase(&schema_sql, phase_path, format, &opts)?;
         for _ in 0..interval {
             watcher
                 .tracker_mut()
@@ -1018,7 +1066,7 @@ fn cmd_watch(flags: HashMap<String, String>) -> Result<(), String> {
             }
             // Overwritten each epoch so the on-disk snapshot stays fresh
             // even if a later epoch crashes the process.
-            write_health_snapshot(watcher.health(), &flags)?;
+            write_health_snapshot(watcher.health(), a)?;
             if json {
                 epochs_json.push(serde_json::json!({
                     "epoch": out.epoch,
@@ -1099,11 +1147,8 @@ fn cmd_watch(flags: HashMap<String, String>) -> Result<(), String> {
             watcher.rollbacks_total()
         );
     }
-    write_obs_outputs(&obs, &flags)?;
-    if let Some(path) = flags.get("health-out") {
-        eprintln!("wrote health snapshot {path}");
-    }
-    alerts_exit_check(watcher.health(), &flags)?;
+    write_obs_outputs(&obs, a)?;
+    alerts_exit_check(watcher.health(), a)?;
     if watcher.is_degraded() {
         return Err(format!(
             "watch ended degraded: {} migration failure(s) exhausted --max-retries {} \
@@ -1116,10 +1161,15 @@ fn cmd_watch(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// One alert transition as a text row.
+fn transition_row(tick: u64, rule: &str, state: &str, severity: &str, value: f64) -> String {
+    format!("{tick:>6} {state:>10} {severity:>9}  {rule:<28} {value:>12.4}")
+}
+
 /// Loads and renders a `--health-out` snapshot: sample-ring shape, alert
 /// transition history, rules still firing, and the degraded epochs.
 fn render_health(path: &str) -> Result<String, String> {
-    let h = HealthSnapshot::from_path(std::path::Path::new(path))?;
+    let h = HealthSnapshot::from_path(Path::new(path))?;
     let mut out = String::new();
     let _ = writeln!(out, "health snapshot  {path}");
     let ticks: Vec<u64> = h.series.samples().map(|s| s.tick).collect();
@@ -1152,10 +1202,8 @@ fn render_health(path: &str) -> Result<String, String> {
     if !h.transitions.is_empty() {
         let _ = writeln!(out, "alert history");
         for (tick, rule, state, severity, value) in &h.transitions {
-            let _ = writeln!(
-                out,
-                "{tick:>6} {state:>10} {severity:>9}  {rule:<28} {value:>12.4}"
-            );
+            out += &transition_row(*tick, rule, state, severity, *value);
+            out.push('\n');
         }
     }
     if h.firing.is_empty() {
@@ -1171,48 +1219,33 @@ fn render_health(path: &str) -> Result<String, String> {
 /// <file>` summarizes a migration journal instead, rejecting corrupt ones.
 /// Either form (and the bare form `vpart inspect --health <snap>`) takes
 /// `--health <snapshot.json>` to merge in the recorded health view.
-fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    match args {
-        [p] if !p.starts_with("--") => {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-            let summary = TraceSummary::from_jsonl(&text).map_err(|e| format!("{p}: {e}"))?;
-            print!("{}", summary.render());
-            Ok(())
+fn cmd_inspect(a: &Args) -> Result<(), String> {
+    let mut sep = "\n";
+    match (a.value("trace"), a.value("journal")) {
+        (Some(path), None) => print!("{}", read_trace(path)?.render()),
+        (None, Some(path)) => inspect_journal(path)?,
+        (None, None) if a.has("health") => sep = "",
+        _ => {
+            return Err(a
+                .cmd
+                .usage_error("needs <trace.jsonl>, --journal or --health"))
         }
-        [p, flag, snap] if !p.starts_with("--") && flag == "--health" => {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-            let summary = TraceSummary::from_jsonl(&text).map_err(|e| format!("{p}: {e}"))?;
-            print!("{}", summary.render());
-            print!("\n{}", render_health(snap)?);
-            Ok(())
-        }
-        [flag, snap] if flag == "--health" => {
-            print!("{}", render_health(snap)?);
-            Ok(())
-        }
-        [flag, p] if flag == "--journal" => inspect_journal(p),
-        [f1, p, f2, snap] if f1 == "--journal" && f2 == "--health" => {
-            inspect_journal(p)?;
-            print!("\n{}", render_health(snap)?);
-            Ok(())
-        }
-        _ => Err(
-            "usage: vpart inspect <trace.jsonl> [--health <snap.json>] | \
-             vpart inspect --journal <journal.jsonl> [--health <snap.json>] | \
-             vpart inspect --health <snap.json>"
-                .to_owned(),
-        ),
     }
+    if let Some(snap) = a.value("health") {
+        print!("{sep}{}", render_health(snap)?);
+    }
+    Ok(())
+}
+
+fn read_trace(path: &str) -> Result<TraceSummary, String> {
+    TraceSummary::from_jsonl(&read(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Renders a migration journal's durable state: plan identity, batch
 /// boundary, byte meters and rollback status. Corruption (checksum
 /// mismatch, truncated lines, illegal sequences) surfaces as an error.
 fn inspect_journal(path: &str) -> Result<(), String> {
-    use vpart::engine::{JournalRecord, MigrationJournal};
-
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let journal = MigrationJournal::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
+    let journal = MigrationJournal::from_jsonl(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
     if journal.is_empty() {
         println!("journal {path}: empty (migration not started)");
         return Ok(());
@@ -1300,9 +1333,9 @@ fn evaluate_rules_over(
 /// lands (text columns, or one JSON transition per line with `--json`).
 /// `--max-polls` bounds the loop (0 = follow forever); `--poll-ms` sets
 /// the poll interval. A truncated/rewritten file restarts from the top.
-fn monitor_follow(path: &str, flags: &HashMap<String, String>, json: bool) -> Result<(), String> {
-    let poll_ms: u64 = get(flags, "poll-ms", 500u64)?;
-    let max_polls: u64 = get(flags, "max-polls", 0u64)?;
+fn monitor_follow(path: &str, a: &Args, json: bool) -> Result<(), String> {
+    let poll_ms: u64 = a.get("poll-ms")?;
+    let max_polls: u64 = a.get("max-polls")?;
     eprintln!("following {path} for alert edges (poll every {poll_ms} ms)");
     let mut offset = 0usize;
     let mut polls = 0u64;
@@ -1313,39 +1346,17 @@ fn monitor_follow(path: &str, flags: &HashMap<String, String>, json: bool) -> Re
         }
         let new = &text[offset..];
         let complete = new.rfind('\n').map(|i| i + 1).unwrap_or(0);
-        for line in new[..complete].lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Ok(v) = serde_json::from_str::<serde_json::Value>(line) else {
-                continue;
-            };
-            if v.get("name").and_then(|n| n.as_str()) != Some("alert") {
-                continue;
-            }
-            let fields = v.get("fields").cloned().unwrap_or(serde_json::Value::Null);
-            let s = |k: &str| fields.get(k).and_then(|x| x.as_str()).unwrap_or("");
-            let tick = fields.get("tick").and_then(|x| x.as_u64()).unwrap_or(0);
-            let value = fields.get("value").and_then(|x| x.as_f64()).unwrap_or(0.0);
+        // Lines that are not well-formed trace records are skipped.
+        let records = new[..complete]
+            .lines()
+            .filter_map(|l| TraceSummary::from_jsonl(l).ok());
+        for e in records.flat_map(|r| r.alerts) {
             if json {
-                println!(
-                    "{}",
-                    serde_json::json!({
-                        "tick": tick,
-                        "rule": s("rule"),
-                        "state": s("state"),
-                        "severity": s("severity"),
-                        "value": serde_json::Value::Float(value),
-                    })
-                );
+                println!("{}", e.to_transition_json());
             } else {
                 println!(
-                    "{:>6} {:>10} {:>9}  {:<28} {:>12.4}",
-                    tick,
-                    s("state"),
-                    s("severity"),
-                    s("rule"),
-                    value
+                    "{}",
+                    transition_row(e.tick, &e.rule, &e.state, &e.severity, e.value)
                 );
             }
         }
@@ -1365,38 +1376,22 @@ fn monitor_follow(path: &str, flags: &HashMap<String, String>, json: bool) -> Re
 /// re-evaluation over the sample ring (`--metrics <snapshot.json>` when
 /// given, else one rebuilt from the trace's epoch spans). `--rules FILE`
 /// swaps the built-in rule set; `--follow` tails the file instead.
-fn cmd_monitor(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: vpart monitor <trace.jsonl> [--follow] [--poll-ms <n>] \
-                         [--max-polls <n>] [--metrics <snapshot.json>] [--rules <file>] [--json]";
-    let Some((path, rest)) = args.split_first() else {
-        return Err(USAGE.to_owned());
-    };
-    if path.starts_with("--") {
-        return Err(USAGE.to_owned());
-    }
-    let flags = parse_flags(rest)?;
-    let json = flags.contains_key("json");
-    if flags.contains_key("follow") {
-        return monitor_follow(path, &flags, json);
+fn cmd_monitor(a: &Args) -> Result<(), String> {
+    let path = a
+        .value("trace")
+        .ok_or_else(|| a.cmd.usage_error("missing <trace.jsonl>"))?;
+    let json = a.has("json");
+    if a.has("follow") {
+        return monitor_follow(path, a, json);
     }
 
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let summary = TraceSummary::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-    let health = match flags.get("metrics") {
-        Some(p) => Some(HealthSnapshot::from_path(std::path::Path::new(p))?),
-        None => None,
-    };
-    let rules = match flags.get("rules") {
-        Some(p) => {
-            let t = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-            vpart::obs::rules_from_json(&t).map_err(|e| format!("{p}: {e}"))?
-        }
-        None => vpart::obs::builtin_rules(),
-    };
-    let store = match &health {
-        Some(h) => h.series.clone(),
-        None => store_from_trace(&summary),
-    };
+    let summary = read_trace(path)?;
+    let health = (a
+        .value("metrics")
+        .map(|p| HealthSnapshot::from_path(Path::new(p))))
+    .transpose()?;
+    let rules = rules_from_flags(a)?;
+    let store = (health.as_ref()).map_or_else(|| store_from_trace(&summary), |h| h.series.clone());
     let rule_eval = evaluate_rules_over(&store, rules)?;
 
     if json {
@@ -1471,17 +1466,14 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     if !rule_eval.is_empty() {
         println!("\nrule re-evaluation over sample ring");
         for t in &rule_eval {
+            let severity = t.severity.as_str();
             println!(
-                "{:>6} {:>10} {:>9}  {:<28} {:>12.4}",
-                t.tick,
-                t.state,
-                t.severity.as_str(),
-                t.rule,
-                t.value
+                "{}",
+                transition_row(t.tick, &t.rule, t.state, severity, t.value)
             );
         }
     }
-    if let Some(p) = flags.get("metrics") {
+    if let Some(p) = a.value("metrics") {
         print!("\n{}", render_health(p)?);
     }
     Ok(())
@@ -1489,23 +1481,17 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
-        "list" => parse_flags(&args[1..]).and_then(cmd_list),
-        "solve" => parse_flags(&args[1..]).and_then(cmd_solve),
-        "ingest" => parse_flags(&args[1..]).and_then(cmd_ingest),
-        "replay" => parse_flags(&args[1..]).and_then(cmd_replay),
-        "watch" => parse_flags(&args[1..]).and_then(cmd_watch),
-        "inspect" => cmd_inspect(&args[1..]),
-        "monitor" => cmd_monitor(&args[1..]),
-        "help" | "--help" | "-h" => {
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(cmd) => Args::parse(cmd, &args[1..]).and_then(|a| (cmd.run)(&a)),
+        None if matches!(name.as_str(), "help" | "--help" | "-h") => {
             println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n\n{}", usage())),
+        None => Err(format!("unknown command {name:?}\n\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -1513,5 +1499,54 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A name declared twice in one command would make the second row
+    /// unreachable (the parser binds the first).
+    #[test]
+    fn each_command_declares_a_name_once() {
+        for cmd in COMMANDS {
+            let mut names: Vec<&str> = cmd.flags().map(|f| f.name).collect();
+            names.sort_unstable();
+            let before = names.len();
+            names.dedup();
+            assert_eq!(names.len(), before, "vpart {} repeats a flag", cmd.name);
+        }
+    }
+
+    /// The declared ingest defaults are the library's.
+    #[test]
+    fn ingest_defaults_match_the_library() {
+        let ingest = COMMANDS.iter().find(|c| c.name == "ingest").unwrap();
+        let a = Args::parse(ingest, &[]).unwrap();
+        assert_eq!(ingest_options(&a).unwrap(), IngestOptions::default());
+    }
+
+    #[test]
+    fn parser_binds_declared_flags_and_defaults() {
+        let solve = COMMANDS.iter().find(|c| c.name == "solve").unwrap();
+        let parse = |argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            Args::parse(solve, &argv)
+        };
+        let error = |argv: &[&str]| parse(argv).err().unwrap();
+        let a = parse(&["--sites", "-3", "--layout", "--sites", "4"]).unwrap();
+        assert_eq!(a.get::<usize>("sites"), Ok(4));
+        assert!(a.has("layout") && !a.has("json"));
+        assert_eq!(a.get::<f64>("lambda"), Ok(0.9));
+        assert_eq!(a.opt::<String>("instance"), Ok(None));
+        assert_eq!(
+            a.get::<String>("instance").unwrap_err(),
+            "--instance is required"
+        );
+
+        assert!(error(&["--bogus"]).starts_with("unknown flag --bogus for `vpart solve`"));
+        assert_eq!(error(&["--algo", "--json"]), "--algo needs a value");
+        assert!(error(&["stray"]).starts_with("unexpected argument \"stray\""));
     }
 }

@@ -109,7 +109,8 @@ fn corrupt_instance_files_error_cleanly() {
 
     // Well-formed JSON with numbers the model forbids: the web-shop
     // instance from `ingest --out`, hand-edited to a negative frequency,
-    // a negative width or a zero row count.
+    // a negative width, a zero row count or a table range running past
+    // the attributes.
     let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
     let out = vpart(&[
         "ingest",
@@ -126,6 +127,7 @@ fn corrupt_instance_files_error_cleanly() {
         ("frequency", "-5", "invalid frequency -5"),
         ("width", "-4", "invalid width -4"),
         ("table_rows", "0", "invalid row count 0"),
+        ("attr_end", "600", "invalid attribute range 0..600"),
     ] {
         std::fs::write(&path, with_first_number(&good, key, value)).unwrap();
         assert_clean_error(
@@ -272,4 +274,82 @@ fn corrupt_and_missing_journals_error_cleanly() {
         "checksum mismatch",
     );
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn unknown_flags_and_missing_values_are_rejected() {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let (schema, log) = (format!("{data}/schema.sql"), format!("{data}/queries.log"));
+    for (args, needle) in [
+        (
+            vec!["solve", "--instance", "tpcc", "--restart", "8"],
+            "unknown flag --restart",
+        ),
+        (
+            vec!["replay", "--instance", "tpcc", "--thread", "4"],
+            "unknown flag --thread",
+        ),
+        (vec!["list", "--bogus", "x"], "unknown flag --bogus"),
+        (
+            vec!["solve", "--instance", "tpcc", "--follow"],
+            "unknown flag --follow",
+        ),
+        // Health flags only ever switched tracing on for solve.
+        (
+            vec!["solve", "--instance", "tpcc", "--health-out", "x"],
+            "unknown flag --health-out",
+        ),
+        // watch names each phase after its file.
+        (
+            vec!["watch", "--schema", &schema, "--log", &log, "--name", "x"],
+            "unknown flag --name",
+        ),
+        (
+            vec![
+                "ingest", "--schema", &schema, "--log", &log, "--name", "--json",
+            ],
+            "--name needs a value",
+        ),
+    ] {
+        assert_clean_error(&args, needle);
+    }
+    // The error lists the flags the command does accept.
+    let out = vpart(&["solve", "--restart", "8"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: vpart solve"), "{stderr}");
+    assert!(stderr.contains("[--restarts <n> (1)]"), "{stderr}");
+    // A negative number is still a value, not a flag.
+    assert_clean_error(
+        &["solve", "--instance", "tpcc", "--p", "-5"],
+        "p must be >= 0, got -5",
+    );
+}
+
+#[test]
+fn conflicting_sources_are_rejected_not_silently_ranked() {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    assert_clean_error(
+        &[
+            "solve",
+            "--instance",
+            "tpcc",
+            "--schema",
+            &format!("{data}/schema.sql"),
+            "--log",
+            &format!("{data}/queries.log"),
+        ],
+        "--instance and --schema are mutually exclusive",
+    );
+    assert_clean_error(
+        &[
+            "replay",
+            "--instance",
+            "tpcc",
+            "--txns",
+            "700",
+            "--rounds",
+            "2",
+        ],
+        "--txns and --rounds are mutually exclusive",
+    );
 }
